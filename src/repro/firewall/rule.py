@@ -54,7 +54,7 @@ class Rule:
         text: original ``pftables`` text, for round-trips and logs.
     """
 
-    __slots__ = ("matches", "target", "text", "comment", "op", "hits")
+    __slots__ = ("matches", "target", "text", "comment", "op", "hits", "required_fields")
 
     def __init__(self, matches, target, text="", comment=""):
         self.matches = list(matches)
@@ -68,14 +68,12 @@ class Rule:
         #: surfaced by ``pftables -L -v``-style listings and usable as
         #: a rule-generation signal.
         self.hits = 0
-
-    @property
-    def required_fields(self):
-        fields = ContextField(0)
+        #: Union of the context fields the matches and target read.
+        #: Computed once: a rule is immutable once built.
+        fields = self.target.required_fields
         for match in self.matches:
             fields |= match.required_fields
-        fields |= self.target.required_fields
-        return fields
+        self.required_fields = fields
 
     def entrypoint_key(self):
         """``(program, offset)`` when this rule is entrypoint-specific."""
@@ -107,7 +105,8 @@ class Chain:
         self.builtin = builtin
         self.rules = []  # type: List[Rule]
         #: §4.3 index: preamble rules (no entrypoint) in order, then a
-        #: per-entrypoint bucket.  Rebuilt on every mutation.
+        #: per-entrypoint bucket.  Appends index incrementally;
+        #: insert/delete/flush reindex.
         self.preamble = []  # type: List[Rule]
         self.by_entrypoint = {}  # type: Dict[Tuple[str, int], List[Rule]]
         #: Operations any rule in this chain can match (None = all);
@@ -119,7 +118,7 @@ class Chain:
         #: Operations the entrypoint buckets could match (None = all).
         self.ept_ops = set()  # type: Optional[set]
         #: Compiled dispatch lists: ``(op, entrypoint_key)`` -> flat
-        #: rule tuple, filled lazily and discarded on every reindex.
+        #: rule tuple, filled lazily and discarded on every mutation.
         #: Key ``(op, None)`` holds the op-filtered preamble alone;
         #: ``(op, (program, offset))`` holds preamble + that bucket,
         #: both already narrowed to rules whose ``-o`` covers ``op``.
@@ -131,7 +130,7 @@ class Chain:
 
     def append(self, rule):
         self.rules.append(rule)
-        self._reindex()
+        self._index(rule)
 
     def delete(self, rule):
         self.rules.remove(rule)
@@ -141,48 +140,56 @@ class Chain:
         self.rules = []
         self._reindex()
 
+    def _index(self, rule):
+        """Add one rule, placed after every indexed rule, to the index."""
+        self._compiled = {}
+        key = rule.entrypoint_key()
+        rule_op = rule.op
+        if key is None:
+            self.preamble.append(rule)
+            self.preamble_by_op.setdefault(rule_op, []).append(rule)
+        else:
+            self.by_entrypoint.setdefault(key, []).append(rule)
+            if rule_op is None:
+                self.ept_ops = None
+            elif self.ept_ops is not None:
+                self.ept_ops.add(rule_op)
+        if rule_op is None:
+            self.relevant_ops = None  # a rule without -o matches any operation
+        elif self.relevant_ops is not None:
+            self.relevant_ops.add(rule_op)
+
     def _reindex(self):
+        """Rebuild every index from :attr:`rules`: reset, then index each."""
         self.preamble = []
         self.by_entrypoint = {}
         self.preamble_by_op = {}
+        self.relevant_ops = set()
+        self.ept_ops = set()
         self._compiled = {}
-        ops = set()
-        ept_ops = set()
         for rule in self.rules:
-            key = rule.entrypoint_key()
-            rule_op = rule.op_filter()
-            if key is None:
-                self.preamble.append(rule)
-                self.preamble_by_op.setdefault(rule_op, []).append(rule)
-            else:
-                self.by_entrypoint.setdefault(key, []).append(rule)
-                if ept_ops is not None:
-                    if rule_op is None:
-                        ept_ops = None
-                    else:
-                        ept_ops.add(rule_op)
-            if rule_op is None:
-                ops = None  # a rule without -o matches any operation
-            elif ops is not None:
-                ops.add(rule_op)
-        self.relevant_ops = ops
-        self.ept_ops = ept_ops
+            self._index(rule)
+
+    def _preamble_accepting(self, op):
+        return [rule for rule in self.preamble if _op_accepts(rule.op, op)]
 
     def preamble_for(self, op):
-        """Preamble rules that could match ``op``, preserving order.
+        """Preamble rules whose ``-o`` covers ``op``, in chain order.
 
-        Order preservation matters only between a rule and the wildcard
-        rules; within the deny-only + side-effect discipline the merge
-        below keeps the original relative order.
+        The same rules as ``dispatch(op)``, without the memo.  When one
+        ``preamble_by_op`` bucket alone covers ``op`` it is returned as
+        is; otherwise a single filter pass over the preamble keeps the
+        original order.
         """
-        specific = self.preamble_by_op.get(op, [])
-        wildcard = self.preamble_by_op.get(None, [])
-        if not wildcard:
-            return specific
-        if not specific:
-            return wildcard
-        merged = [rule for rule in self.preamble if rule in specific or rule in wildcard]
-        return merged
+        by_op = self.preamble_by_op
+        wildcard = by_op.get(None)
+        specific = by_op.get(op)
+        if not (op is Op.LINK_READ and Op.LNK_FILE_READ in by_op):
+            if wildcard is None:
+                return specific or ()
+            if specific is None:
+                return wildcard
+        return self._preamble_accepting(op)
 
     def dispatch(self, op, ept_key=None):
         """Flat, precompiled rule tuple for one ``(op, entrypoint)`` pair.
@@ -192,7 +199,7 @@ class Chain:
         matching rules of the ``ept_key`` bucket — and memoizes it;
         every later mediation of the same shape iterates one tuple with
         no merging, no membership tests, and no per-rule op checks.
-        The memo dies with the next reindex, so installs/deletes can
+        The memo dies with the next mutation, so installs/deletes can
         never serve stale dispatch lists.  Callers pass ``ept_key``
         only for keys present in :attr:`by_entrypoint`, keeping the
         memo bounded by (ops seen) × (installed entrypoints + 1).
@@ -200,7 +207,7 @@ class Chain:
         key = (op, ept_key)
         seq = self._compiled.get(key)
         if seq is None:
-            rules = [rule for rule in self.preamble if _op_accepts(rule.op, op)]
+            rules = self._preamble_accepting(op)
             if ept_key is not None:
                 rules.extend(
                     rule
@@ -280,13 +287,17 @@ class RuleBase:
         return sum(len(chain) for table in self.tables.values() for chain in table.chains.values())
 
     def install(self, table, chain, rule, position=None, create_chain=True):
-        """Insert (position given) or append a rule, then reindex."""
+        """Insert (position given) or append a rule.
+
+        An added rule can only widen the field union, so it is OR-ed in
+        rather than recomputed over the whole base.
+        """
         chain_obj = self.table(table).chain(chain, create=create_chain)
         if position is None:
             chain_obj.append(rule)
         else:
             chain_obj.insert(rule, position)
-        self.recompute_required_fields()
+        self.required_fields |= rule.required_fields
         self.version += 1
         self.stamp = (self.uid, self.version)
         return rule

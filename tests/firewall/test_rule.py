@@ -1,13 +1,17 @@
 """Rule, chain, and rule-base structure."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import errors
 from repro.firewall import matches as mm
 from repro.firewall import targets as tg
 from repro.firewall.context import ContextField
+from repro.firewall.engine import ProcessFirewall
+from repro.firewall.persist import save_rules
 from repro.firewall.pftables import parse_rule
-from repro.firewall.rule import Chain, Rule, RuleBase, Table
+from repro.firewall.rule import TABLES, Chain, Rule, RuleBase, Table
+from repro.rulesets.generated import generate_full_rulebase
 from repro.security.lsm import Op
 
 
@@ -177,6 +181,32 @@ class TestCompiledDispatch:
         assert chain.dispatch(Op.LINK_READ) == (lnk,)
         assert chain.dispatch(Op.FILE_OPEN) == ()
 
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [],
+            ["pftables -o LNK_FILE_READ -j DROP"],
+            ["pftables -d tmp_t -j DROP"],
+            ["pftables -o FILE_OPEN -j DROP", "pftables -o LNK_FILE_READ -j DROP"],
+            [
+                "pftables -o FILE_OPEN -j DROP",
+                "pftables -d tmp_t -j DROP",
+                "pftables -o LNK_FILE_READ -j DROP",
+                "pftables -i 0x10 -p /bin/x -o FILE_OPEN -j DROP",
+                "pftables -o FILE_OPEN -d etc_t -j DROP",
+                "pftables -s SYSHIGH -j DROP",
+            ],
+        ],
+    )
+    def test_preamble_for_equals_dispatch_for_every_op(self, texts):
+        chain = Chain("input")
+        for text in texts:
+            chain.append(rule(text))
+        # A raw LINK_READ filter (parsing normalizes the alias away).
+        chain.append(Rule([mm.OpMatch(Op.LINK_READ)], tg.DropTarget()))
+        for op in Op:
+            assert list(chain.preamble_for(op)) == list(chain.dispatch(op)), op
+
     def test_rulebase_stamp_changes_on_every_mutation(self):
         base = RuleBase()
         stamps = {base.stamp}
@@ -223,3 +253,144 @@ class TestTableAndBase:
     def test_unknown_table_raises(self):
         with pytest.raises(errors.EINVAL):
             RuleBase().table("ghost")
+
+
+#: Rule shapes for the incremental-index differential: preamble rules
+#: with and without ``-o`` (incl. the LINK_READ alias target), bucketed
+#: rules with and without ``-o``, and a field-only STATE rule.
+DIFF_RULES = [
+    "pftables -o FILE_OPEN -j DROP",
+    "pftables -o LNK_FILE_READ -s SYSHIGH -j DROP",
+    "pftables -d tmp_t -j DROP",
+    "pftables -j STATE --set --key 0x7 --value C_INO",
+    "pftables -i 0x10 -p /bin/x -o FILE_OPEN -j DROP",
+    "pftables -i 0x10 -p /bin/x -d tmp_t -j DROP",
+    "pftables -i 0x20 -p /bin/x -o FILE_READ -j DROP",
+    "pftables -i 0x20 -p /bin/x -o LNK_FILE_READ -j DROP",
+]
+DIFF_OPS = [Op.FILE_OPEN, Op.FILE_READ, Op.LNK_FILE_READ, Op.LINK_READ, Op.FILE_GETATTR]
+DIFF_KEYS = [None, ("/bin/x", 0x10), ("/bin/x", 0x20)]
+DIFF_CHAINS = ["input", "output"]
+
+DIFF_STEP = st.one_of(
+    st.tuples(st.just("A"), st.sampled_from(DIFF_CHAINS), st.sampled_from(DIFF_RULES)),
+    st.tuples(
+        st.just("I"),
+        st.sampled_from(DIFF_CHAINS),
+        st.sampled_from(DIFF_RULES),
+        st.integers(min_value=0, max_value=8),
+    ),
+    st.tuples(st.just("D"), st.sampled_from(DIFF_CHAINS), st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("F"), st.sampled_from(DIFF_CHAINS)),
+)
+
+
+def _reindexed(chain):
+    fresh = Chain(chain.name)
+    fresh.rules = list(chain.rules)
+    fresh._reindex()
+    return fresh
+
+
+def _op_set(rules):
+    """The ``-o`` operations of ``rules``; None once any has no ``-o``."""
+    ops = {r.op for r in rules}
+    return None if None in ops else ops
+
+
+def _assert_index_matches_full_reindex(chain):
+    ref = _reindexed(chain)
+    assert chain.preamble == ref.preamble
+    assert list(chain.preamble_by_op.items()) == list(ref.preamble_by_op.items())
+    assert list(chain.by_entrypoint.items()) == list(ref.by_entrypoint.items())
+    assert chain.relevant_ops == ref.relevant_ops
+    assert chain.ept_ops == ref.ept_ops
+    # Both paths share _index(), so also check the op sets from scratch.
+    bucketed = [r for r in chain.rules if r.entrypoint_key() is not None]
+    assert chain.relevant_ops == _op_set(chain.rules)
+    assert chain.ept_ops == _op_set(bucketed)
+    for op in DIFF_OPS:
+        assert list(chain.preamble_for(op)) == list(ref.dispatch(op))
+        for key in DIFF_KEYS:
+            assert chain.dispatch(op, key) == ref.dispatch(op, key)
+
+
+class TestIncrementalIndex:
+    """Appends index one rule; insert/delete/flush rebuild.  Both must
+    leave exactly the index a full ``_reindex()`` builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(DIFF_STEP, max_size=14))
+    def test_incremental_equals_full_reindex(self, steps):
+        base = RuleBase()
+        table = base.table("filter")
+        for step in steps:
+            action, chain_name = step[0], step[1]
+            chain = table.chain(chain_name, create=True)
+            # Memoize every dispatch shape, so a stale tuple would show.
+            for op in DIFF_OPS:
+                for key in DIFF_KEYS:
+                    chain.dispatch(op, key)
+            if action == "A":
+                base.install("filter", chain_name, rule(step[2]))
+            elif action == "I":
+                base.install("filter", chain_name, rule(step[2]), position=min(step[3], len(chain)))
+            elif action == "D":
+                if not len(chain):
+                    continue
+                base.remove("filter", chain_name, chain.rules[step[2] % len(chain)])
+            else:
+                chain.flush()
+                base.recompute_required_fields()
+            assert chain._compiled == {}
+            accumulated = base.required_fields
+            assert accumulated == base.recompute_required_fields()
+            for each in table.chains.values():
+                _assert_index_matches_full_reindex(each)
+
+
+class TestLinearInstall:
+    """Installing the 1218-rule PF Full base must never rescan the rule
+    base: no full reindex and no field-union recompute per append."""
+
+    def test_full_base_installs_without_rescans(self, monkeypatch):
+        calls = {"reindex": 0, "recompute": 0}
+        reindex = Chain._reindex
+        recompute = RuleBase.recompute_required_fields
+
+        def counted_reindex(chain):
+            calls["reindex"] += 1
+            return reindex(chain)
+
+        def counted_recompute(base):
+            calls["recompute"] += 1
+            return recompute(base)
+
+        monkeypatch.setattr(Chain, "_reindex", counted_reindex)
+        monkeypatch.setattr(RuleBase, "recompute_required_fields", counted_recompute)
+        texts = generate_full_rulebase()
+        firewall = ProcessFirewall()
+        firewall.install_all(texts)
+        assert calls == {"reindex": 0, "recompute": 0}
+        monkeypatch.undo()
+
+        # The same rules, placed by parsing alone and indexed by one
+        # full reindex per chain, are what per-append reindexing built.
+        reference = ProcessFirewall()
+        for text in texts:
+            parsed = parse_rule(text)
+            assert parsed.action == "append"
+            reference.rules.table(parsed.table).chain(parsed.chain, create=True).rules.append(
+                parsed.rule
+            )
+        for table_name in TABLES:
+            for chain in reference.rules.table(table_name).chains.values():
+                chain._reindex()
+        assert firewall.rules.rule_count() == len(texts)
+        assert save_rules(firewall) == save_rules(reference)
+        for table_name in TABLES:
+            for chain in firewall.rules.table(table_name).chains.values():
+                _assert_index_matches_full_reindex(chain)
+        accumulated = firewall.rules.required_fields
+        assert accumulated == firewall.rules.recompute_required_fields()
+        assert accumulated == reference.rules.recompute_required_fields()
