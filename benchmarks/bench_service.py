@@ -11,10 +11,6 @@ sessions from the open-ended workload models
   past saturation the bounded admission queue must reject the surplus
   and hold completed throughput near capacity — graceful backpressure,
   never collapse;
-- **TABLED worker cold start**: wall seconds to ahead-of-time compile
-  the service rule base vs to load the serialized flat-table artifact
-  the driver ships in each worker's init payload — the artifact path
-  must be measurably faster (the zero-warmup story);
 - the **wire-protocol comparison**: the same stream once per protocol
   per worker count (:func:`repro.service.driver.compare_protocols`) —
   v0's per-session pickles + per-call step loop against the batched
@@ -36,10 +32,8 @@ busy-CPU-seconds) next to every wall-clock figure.  Environment knobs:
 import json
 import os
 import platform
-import time
 
 from repro.analysis.tables import format_table
-from repro.api import Session
 from repro.service import run_service
 from repro.service.driver import compare_protocols, sweep_service
 from repro.workloads.generators import generate_stream, service_rules_text
@@ -82,66 +76,6 @@ def _usable_cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux hosts
         return os.cpu_count() or 1
-
-
-def _measure_cold_start(repeats=5):
-    """Worker cold start: AOT-compile the tables vs load the artifact.
-
-    Every worker pays the same session construction (rule parsing and
-    install) whichever path it takes, so only the divergent step is
-    timed: building every decision row ahead of time (what a worker
-    without an artifact pays before its first warm mediation) against
-    adopting the pre-serialized artifact.  Measured over the full
-    1218-rule base rather than the small service rule set: the
-    artifact's advantage scales with rule count, and the tiny service
-    base is cheap enough to compile that JSON parsing dominates either
-    way.  Best-of-``repeats`` wall seconds for each, plus the artifact
-    size the driver ships per worker.
-    """
-    from repro.firewall.tables import compile_tables, load_tables
-    from repro.rulesets.generated import install_full_rulebase
-
-    compiler = Session(engine="TABLED", rules=install_full_rulebase)
-    loader = Session(engine="TABLED", rules=install_full_rulebase)
-    artifact = compiler.compile_tables()
-    compile_s = load_s = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        compile_tables(compiler.firewall)
-        elapsed = time.perf_counter() - start
-        compile_s = elapsed if compile_s is None else min(compile_s, elapsed)
-        start = time.perf_counter()
-        load_tables(loader.firewall, artifact)
-        elapsed = time.perf_counter() - start
-        load_s = elapsed if load_s is None else min(load_s, elapsed)
-    return {
-        "compile_s": round(compile_s, 4),
-        "load_s": round(load_s, 4),
-        "load_vs_compile": round(load_s / compile_s, 3),
-        "artifact_bytes": len(artifact.encode("utf-8")),
-        "rule_base": "full-1218",
-        "repeats": repeats,
-    }
-
-
-def test_tables_cold_start(emit):
-    """Loading the flat-table artifact must beat compiling it.
-
-    The TABLED zero-warmup story only pays off if adopting the
-    serialized artifact is measurably cheaper than the ahead-of-time
-    compile each worker would otherwise run; the gate demands at least
-    a 20% win (measured: 2-3.5x) so a load-path regression that erodes
-    the advantage fails loudly.
-    """
-    point = _measure_cold_start()
-    emit("tables cold start: compile {:.1f}ms  load {:.1f}ms  "
-         "(ratio {:.2f}, artifact {} bytes)".format(
-             point["compile_s"] * 1e3, point["load_s"] * 1e3,
-             point["load_vs_compile"], point["artifact_bytes"]))
-    assert point["load_s"] <= point["compile_s"] * 0.8, (
-        "artifact load not measurably faster than compiling: "
-        "{:.1f}ms vs {:.1f}ms".format(
-            point["load_s"] * 1e3, point["compile_s"] * 1e3))
 
 
 def test_service_smoke(emit):
@@ -248,13 +182,6 @@ def test_service_sweep(run_once, emit):
         payload["benchmark"] = "service"
         payload["python"] = platform.python_version()
         payload["host_cores"] = _usable_cores()
-        payload["cold_start"] = _measure_cold_start()
-        payload["cold_start"]["note"] = (
-            "TABLED worker cold start: best-of-N wall seconds to "
-            "AOT-compile the full 1218-rule base vs to load the "
-            "serialized artifact a driver ships in each worker's init "
-            "payload."
-        )
         payload["note"] = (
             "closed loop = bounded-population capacity probe; open "
             "loop offers factor x capacity sessions/s against a "

@@ -4,20 +4,16 @@ Columns: DISABLED (baseline), BASE (enabled, empty rules), FULL (1218
 rules, no optimizations), CONCACHE (+context caching), LAZYCON (+lazy
 retrieval), EPTSPC (+entrypoint chains), COMPILED (+compiled dispatch
 and the negative-decision cache), JITTED (COMPILED + per-rule codegen
-and the resource-context cache), TABLED (JITTED + ahead-of-time flat
-tables: whole-rule-base state enumeration collapses constant-operand
-chains into branch/terminal lookups with per-edge JITTED fallback),
-TRACED (COMPILED with the full observability layer on: decision
-tracing + metrics registry — its distance from COMPILED is the
-published tracing-overhead number, and COMPILED itself must stay
-within noise of its pre-observability numbers, pinning the disabled
-path).  Shape expectations follow the paper: BASE ≈ DISABLED, FULL is
+and the resource-context cache), TRACED (COMPILED with the full
+observability layer on: decision tracing + metrics registry — its
+distance from COMPILED is the published tracing-overhead number, and
+COMPILED itself must stay within noise of its pre-observability
+numbers, pinning the disabled path).  Shape expectations follow the paper: BASE ≈ DISABLED, FULL is
 the blow-up (worst on ``stat``/``open``), each optimization column
 recovers cost with EPTSPC landing within a few percent on most rows —
 COMPILED must never lose to EPTSPC, winning outright on the
 path-walking rows the decision cache short-circuits, JITTED must never
-lose to COMPILED with a sub-1.0 geomean, and TABLED must never lose to
-JITTED past noise while beating COMPILED on geomean.
+lose to COMPILED with a sub-1.0 geomean.
 
 ``PF_TABLE6_ITERS`` overrides the grid's iteration count; small values
 (< 200, e.g. the CI smoke run) skip the timing-shape assertions, which
@@ -27,7 +23,7 @@ is the CI perf gate: a quick COMPILED-vs-JITTED run (iteration budget
 tolerance on the ``null``/``read``/``stat`` rows.
 
 The grid also writes ``benchmarks/BENCH_hotpath.json`` — the committed
-perf-trajectory artifact comparing EPTSPC, COMPILED, JITTED and TABLED
+perf-trajectory artifact comparing EPTSPC, COMPILED and JITTED
 per syscall row, with per-row standard deviations as error bars.
 """
 
@@ -41,7 +37,7 @@ import pytest
 from repro.analysis.tables import format_table, overhead_pct
 from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite, TABLE6_COLUMNS, run_table6
 
-COLUMNS = ["DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED", "JITTED", "TABLED", "TRACED"]
+COLUMNS = ["DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED", "JITTED", "TRACED"]
 
 HOTPATH_JSON = os.path.join(os.path.dirname(__file__), "BENCH_hotpath.json")
 
@@ -91,25 +87,21 @@ def _stdev_fields(samples, op):
 
 
 def _emit_hotpath_json(results, iterations, samples=None):
-    """Persist the EPTSPC/COMPILED/JITTED/TABLED trajectory artifact."""
+    """Persist the EPTSPC/COMPILED/JITTED trajectory artifact."""
     rows = {}
     for op in LMBENCH_OPS:
         eptspc = results[op]["EPTSPC"]
         compiled = results[op]["COMPILED"]
         jitted = results[op]["JITTED"]
-        tabled = results[op]["TABLED"]
         traced = results[op]["TRACED"]
         rows[op] = {
             "disabled_us": round(results[op]["DISABLED"], 3),
             "eptspc_us": round(eptspc, 3),
             "compiled_us": round(compiled, 3),
             "jitted_us": round(jitted, 3),
-            "tabled_us": round(tabled, 3),
             "traced_us": round(traced, 3),
             "compiled_vs_eptspc": round(compiled / eptspc, 3) if eptspc else None,
             "jitted_vs_compiled": round(jitted / compiled, 3) if compiled else None,
-            "tabled_vs_jitted": round(tabled / jitted, 3) if jitted else None,
-            "tabled_vs_compiled": round(tabled / compiled, 3) if compiled else None,
             "traced_vs_compiled": round(traced / compiled, 3) if compiled else None,
             "stdev_us": _stdev_fields(samples, op),
         }
@@ -117,7 +109,7 @@ def _emit_hotpath_json(results, iterations, samples=None):
         "benchmark": "table6_lmbench_hotpath",
         "iterations": iterations,
         "python": platform.python_version(),
-        "columns_compared": ["EPTSPC", "COMPILED", "JITTED", "TABLED", "TRACED"],
+        "columns_compared": ["EPTSPC", "COMPILED", "JITTED", "TRACED"],
         "rows": rows,
     }
     rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -203,26 +195,6 @@ def test_table6_grid(run_once, emit):
     assert _geomean(ratios) < 1.0, "JITTED geomean vs COMPILED: {:.3f}".format(_geomean(ratios))
     assert results["null"]["JITTED"] < results["null"]["COMPILED"]
     assert results["stat"]["JITTED"] < results["stat"]["COMPILED"]
-
-    # TABLED caps the ladder: ahead-of-time flat tables replace the
-    # generated predicate chains with branch lookups, so no row may
-    # lose to JITTED past noise — the two engines do near-identical
-    # per-mediation work when a chain lowers fully, and the table wins
-    # where constant-operand fan-out collapses into one dict probe.
-    # The robust headline gate is the geomean against COMPILED: two
-    # codegen rungs of headroom make it stable under scheduler noise,
-    # where the TABLED/JITTED geomean sits near 1.0 by construction.
-    tabled_vs_compiled = []
-    for op in LMBENCH_OPS:
-        tabled = results[op]["TABLED"]
-        jitted = results[op]["JITTED"]
-        tabled_vs_compiled.append(tabled / results[op]["COMPILED"])
-        assert tabled <= jitted * NOISE_TOLERANCE, (
-            "TABLED regressed on {}: {:.2f}us vs JITTED {:.2f}us".format(op, tabled, jitted)
-        )
-    assert _geomean(tabled_vs_compiled) < 1.0, (
-        "TABLED geomean vs COMPILED: {:.3f}".format(_geomean(tabled_vs_compiled))
-    )
 
 
 def test_jitted_perf_smoke(emit):

@@ -144,13 +144,6 @@ class Session:
         ``True``/``False`` forces the *kernel* audit log on or off
         (workers turn it off: it is not part of merged results);
         ``None`` keeps whatever the world builder chose.
-    tables:
-        Optional serialized flat-table artifact text
-        (:func:`repro.firewall.tables.serialize_tables`) loaded after
-        rule installation — the TABLED zero-warmup path.  The artifact
-        is digest-checked against the installed rules and a mismatch
-        raises :class:`repro.errors.PFTablesStale` (never silently
-        ignored).
     dcache:
         ``True``/``False`` forces the kernel's fast-path name
         resolution (:mod:`repro.vfs.dcache`) on or off; ``None``
@@ -169,7 +162,6 @@ class Session:
         traced=False,
         audit_capacity=4096,
         kernel_audit=None,
-        tables=None,
         dcache=None,
     ):
         kwargs = dict(world_kwargs or {})
@@ -207,8 +199,6 @@ class Session:
             self.firewall.enable_tracing()
         if rules is not None:
             self.install(rules)
-        if tables is not None:
-            self.load_tables(tables)
 
     # ------------------------------------------------------------------
     # rules
@@ -228,33 +218,6 @@ class Session:
             rules(self.firewall)
         else:
             self.firewall.install_all(list(rules))
-        return self
-
-    def compile_tables(self):
-        """Ahead-of-time compile the installed rules to flat tables.
-
-        Eagerly builds every ``(op, entrypoint)`` decision row and
-        attaches the program so TABLED mediation starts warm; returns
-        the serialized artifact text for :meth:`load_tables` /
-        ``Session(tables=...)`` in another process.  Usable under any
-        engine preset (the artifact is engine-independent), though only
-        ``table_dispatch`` configurations ever dispatch through it.
-        """
-        from repro.firewall.tables import compile_tables, serialize_tables
-
-        return serialize_tables(compile_tables(self.firewall))
-
-    def load_tables(self, text):
-        """Adopt a serialized flat-table artifact instead of compiling.
-
-        Validates format, version, rule digest, and TCB snapshots
-        against the live rule base — :class:`repro.errors.PFTablesStale`
-        on any mismatch — then attaches the decoded program.  Returns
-        the session for chaining.
-        """
-        from repro.firewall.tables import load_tables
-
-        load_tables(self.firewall, text)
         return self
 
     # ------------------------------------------------------------------

@@ -27,10 +27,6 @@ files:
   children under eager-copy vs copy-on-write state propagation
   (``repro.workloads.forkscale``) and print per-fork cost and
   substrate bytes, with CoW-vs-eager observable parity checked.
-- ``compile-tables`` — ahead-of-time compile a rules file into the
-  TABLED engine's flat-table artifact (``repro.firewall.tables``) and
-  write the serialized JSON; ``--check`` instead validates an existing
-  artifact against the rules (exit 4 when stale).
 
 Usage::
 
@@ -50,6 +46,20 @@ from repro.firewall.engine import EngineConfig, ProcessFirewall
 from repro.firewall.persist import list_rules, save_rules
 from repro.firewall.pftables import parse_rule, pftables
 from repro.service.wire import DEFAULT_PROTOCOL, PROTOCOLS
+
+
+def engine_preset(name):
+    """argparse ``type`` for ``--engine``: a valid preset name.
+
+    Resolving through :meth:`EngineConfig.preset` turns a typo into a
+    usage error (exit 2, listing the presets) at parse time instead of
+    a traceback once the workload is already running.
+    """
+    try:
+        EngineConfig.preset(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return name
 
 
 def read_rule_lines(path):
@@ -410,46 +420,6 @@ def cmd_bench_scale(args):
     return 0
 
 
-def cmd_compile_tables(args):
-    """AOT-compile a rules file to the TABLED flat-table artifact."""
-    from repro.world import build_world
-    from repro.firewall import tables
-
-    if args.file:
-        firewall = _load_file(args.file)
-    else:
-        from repro.rulesets.generated import install_full_rulebase
-
-        firewall = ProcessFirewall()
-        install_full_rulebase(firewall)
-    # Attach a world so label universes fold the MAC policy's TCB in —
-    # the same environment a serving session compiles against.
-    build_world().attach_firewall(firewall)
-    if args.check:
-        with open(args.check) as fh:
-            text = fh.read()
-        try:
-            program = tables.load_tables(firewall, text)
-        except errors.PFTablesStale as exc:
-            print("pfctl: stale artifact: {}".format(exc.message), file=sys.stderr)
-            return 4
-        static_rows, fallback_rows = program.row_counts()
-        print("{}: OK ({} static rows, {} fallback rows)".format(
-            args.check, static_rows, fallback_rows))
-        return 0
-    program = tables.compile_tables(firewall)
-    text = tables.serialize_tables(program)
-    static_rows, fallback_rows = program.row_counts()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print("wrote {} ({} bytes, {} static rows, {} fallback rows)".format(
-            args.output, len(text), static_rows, fallback_rows))
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_serve(args):
     """Run the live mediation service over a generated session stream."""
     from repro.service import run_service
@@ -460,10 +430,6 @@ def cmd_serve(args):
         from repro.firewall.persist import save_rules as _save
 
         rules_text = _save(_load_file(args.file))
-    tables_text = None
-    if args.tables:
-        with open(args.tables) as fh:
-            tables_text = fh.read()
     specs = generate_stream(args.sessions, seed=args.seed)
     result = run_service(
         specs,
@@ -474,7 +440,6 @@ def cmd_serve(args):
         mode="open" if args.rate else "closed",
         offered_rate=args.rate,
         max_pending=args.max_pending,
-        tables_text=tables_text,
         protocol=args.protocol,
     )
     counters = result["counters"]
@@ -667,7 +632,7 @@ def build_parser():
     p.add_argument("--loops", type=int, default=20,
                    help="iterations per session (default 20)")
     p.add_argument("--profile", choices=("mixed", "null"), default="mixed")
-    p.add_argument("--engine", default="JITTED",
+    p.add_argument("--engine", type=engine_preset, default="JITTED",
                    help="engine preset for every worker (default JITTED)")
     p.add_argument("--inline", action="store_true",
                    help="run shards sequentially in-process instead of "
@@ -693,11 +658,8 @@ def build_parser():
                    help="open-loop admission queue bound (default 64)")
     p.add_argument("--seed", type=int, default=0x5EA5,
                    help="stream seed (default 0x5EA5)")
-    p.add_argument("--engine", default="JITTED",
+    p.add_argument("--engine", type=engine_preset, default="JITTED",
                    help="engine preset for every worker (default JITTED)")
-    p.add_argument("--tables", metavar="ARTIFACT", default=None,
-                   help="flat-table artifact file (from compile-tables) "
-                        "shipped to every worker for zero-warmup start")
     p.add_argument("--inline", action="store_true",
                    help="run sessions in-process instead of spawning "
                         "OS workers (debugging / serial reference)")
@@ -707,19 +669,6 @@ def build_parser():
                         "the per-session pickle compatibility path "
                         "(default %(default)s)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "compile-tables",
-        help="AOT-compile a rules file into the TABLED flat-table "
-             "artifact (or --check an existing artifact for staleness)")
-    p.add_argument("file", nargs="?", default=None,
-                   help="rules file (default: the generated full rule base)")
-    p.add_argument("-o", "--output", default=None,
-                   help="write the artifact here instead of stdout")
-    p.add_argument("--check", metavar="ARTIFACT", default=None,
-                   help="validate ARTIFACT against the rules instead of "
-                        "compiling (exit 4 when stale)")
-    p.set_defaults(func=cmd_compile_tables)
 
     p = sub.add_parser(
         "bench-service",
@@ -736,7 +685,7 @@ def build_parser():
                    help="sessions per measurement point (default 200)")
     p.add_argument("--seed", type=int, default=0x5EA5,
                    help="stream seed (default 0x5EA5)")
-    p.add_argument("--engine", default="JITTED",
+    p.add_argument("--engine", type=engine_preset, default="JITTED",
                    help="engine preset for every worker (default JITTED)")
     p.add_argument("--inline", action="store_true",
                    help="inline runners instead of OS workers")

@@ -147,18 +147,6 @@ class PFDenied(EACCES):
         self.rule = rule
 
 
-class PFTablesStale(EINVAL):
-    """A serialized flat-table artifact does not match the live rules.
-
-    Raised by :func:`repro.firewall.tables.load_tables` when the
-    artifact's format/version, rule digest, TCB snapshots, or rule
-    coordinates disagree with the installed rule base.  A stale
-    artifact is never silently used — callers must recompile.  Not
-    registered in :data:`ERRNO_BY_NAME` (that table maps errno *names*,
-    and ``EINVAL`` already owns this one).
-    """
-
-
 #: Map of errno names to exception classes, for audit-log round-trips.
 ERRNO_BY_NAME = {
     cls.errno_name: cls

@@ -19,7 +19,6 @@ LAZYCON               ``EngineConfig.lazycon()``
 EPTSPC                ``EngineConfig.optimized()`` (the default)
 COMPILED              ``EngineConfig.compiled()``
 JITTED                ``EngineConfig.jitted()``
-TABLED                ``EngineConfig.tabled()``
 ====================  ==========================================
 
 (BASE vs FULL differ by rule-base size, not engine configuration.)
@@ -30,22 +29,14 @@ every rule mutation), and a per-process **negative-decision cache**
 memoizes default-allow verdicts whose traversal consulted nothing
 resource- or call-dependent — see ``docs/INTERNALS.md``.
 
-The JITTED rung goes one further: the dispatch tuples are compiled
+The JITTED rung tops the ladder: the dispatch tuples are compiled
 into flat Python decision functions with rule constants bound in the
 closure (:mod:`repro.firewall.codegen`), and expensive per-inode
 context fields (object label, adversary accessibility) are memoized in
 a VFS-invalidated resource-context cache
 (:mod:`repro.firewall.rescache`).  Traced or metered mediations fall
 back to the interpreted walker, so observability semantics are
-unchanged.
-
-The TABLED rung tops the ladder: the whole rule base is ahead-of-time
-compiled into flat per-``(op, entrypoint)`` decision tables
-(:mod:`repro.firewall.tables`) — constant-operand predicate chains
-collapse into dict-probed decision DAGs, dynamic rows delegate to the
-JITTED generated functions, and the compiled program serializes to a
-digest-checked artifact that service workers load instead of
-compiling.  See ``docs/COMPILATION.md`` for the full ladder.
+unchanged.  See ``docs/COMPILATION.md`` for the full ladder.
 
 The engine also hosts the :mod:`repro.obs` observability layer:
 decision traces (opt-in via :meth:`ProcessFirewall.enable_tracing`),
@@ -67,7 +58,6 @@ from repro.deprecation import warn_once
 from repro.firewall import targets as tg
 from repro.firewall.context import _DECISION_STABLE_INT, ContextField, ContextFrame
 from repro.firewall.codegen import JitProgram
-from repro.firewall.tables import TableProgram
 from repro.firewall.modules.registry import collect_field
 from repro.firewall.rescache import (
     _RESCACHE_FIELDS_INT,
@@ -149,7 +139,6 @@ class EngineConfig:
         "global_traversal_state",
         "jit_codegen",
         "resource_cache",
-        "table_dispatch",
     )
 
     def __init__(
@@ -163,7 +152,6 @@ class EngineConfig:
         global_traversal_state=False,
         jit_codegen=False,
         resource_cache=False,
-        table_dispatch=False,
     ):
         self.enabled = enabled
         self.context_cache = context_cache
@@ -189,12 +177,6 @@ class EngineConfig:
         #: VFS-invalidated resource-context cache
         #: (:mod:`repro.firewall.rescache`).
         self.resource_cache = resource_cache
-        #: Walk chains through ahead-of-time compiled flat decision
-        #: tables (:mod:`repro.firewall.tables`); rows with dynamic
-        #: context predicates delegate to the JITTED generated
-        #: functions.  Traced or metered mediations fall back to the
-        #: interpreted walker, exactly like ``jit_codegen``.
-        self.table_dispatch = table_dispatch
 
     # ---- Table 6 column presets ----
 
@@ -239,17 +221,6 @@ class EngineConfig:
         )
 
     @classmethod
-    def tabled(cls):
-        """TABLED: JITTED + ahead-of-time flat decision tables."""
-        return cls(
-            compiled_dispatch=True,
-            decision_cache=True,
-            jit_codegen=True,
-            resource_cache=True,
-            table_dispatch=True,
-        )
-
-    @classmethod
     def preset(cls, name):
         """Resolve a Table 6 column name to its configuration.
 
@@ -267,7 +238,6 @@ class EngineConfig:
             "EPTSPC": cls.optimized,
             "COMPILED": cls.compiled,
             "JITTED": cls.jitted,
-            "TABLED": cls.tabled,
         }
         factory = presets.get(str(name).upper())
         if factory is None:
@@ -311,12 +281,6 @@ class EngineStats:
         self.rescache_misses = 0
         self.rescache_invalidations = 0
         self.irq_disables = 0
-        #: Flat-table dispatch outcomes (TABLED configurations only):
-        #: chain steps answered by a static decision table, and steps
-        #: that delegated to the embedded JITTED fallback function
-        #: because a row carries dynamic context predicates.
-        self.tables_hits = 0
-        self.tables_fallbacks = 0
 
     #: Scalar counters, in declaration order; ``context_collections``
     #: (a per-field dict) is handled separately by the snapshot/merge
@@ -333,8 +297,6 @@ class EngineStats:
         "rescache_misses",
         "rescache_invalidations",
         "irq_disables",
-        "tables_hits",
-        "tables_fallbacks",
     )
 
     def reset(self):
@@ -415,14 +377,6 @@ class ProcessFirewall:
         #: Compiled rule program (jit_codegen); rebuilt whenever the
         #: rule-base stamp identity changes.
         self._jit = None
-        #: Flat-table program (table_dispatch); rebuilt on stamp or
-        #: TCB-set change, or replaced wholesale by a loaded artifact
-        #: (:func:`repro.firewall.tables.load_tables`).
-        self._tables = None
-        #: The MAC policy object the current table program was last
-        #: validated against — collapses the per-mediation TCB check
-        #: to one identity test until the policy is swapped.
-        self._tables_policy = None
         #: VFS-invalidated memo of per-inode context fields
         #: (resource_cache configurations only).
         self._rescache = ResourceContextCache() if self.config.resource_cache else None
@@ -480,8 +434,6 @@ class ProcessFirewall:
         self._chain_memo = {}
         self._chain_memo_stamp = None
         self._jit = None
-        self._tables = None
-        self._tables_policy = None
         if self._rescache is not None:
             self._rescache.clear()
 
@@ -497,57 +449,6 @@ class ProcessFirewall:
         if jit is None or jit.stamp is not self.rules.stamp:
             jit = self._jit = JitProgram(self)
         return jit
-
-    def table_program(self):
-        """The flat-table program for the current rule base.
-
-        Pinned to both the ``RuleBase.stamp`` identity *and* the
-        MAC-policy TCB label sets: table rows branch over precomputed
-        label-membership fingerprints whose universes fold the TCB in,
-        so a policy swap must orphan the tables even when the rules
-        themselves are untouched.  The steady-state cost is two
-        identity tests (rule stamp, last-validated policy object); a
-        policy swap falls through to the snapshot comparison —
-        identity-first on the label sets, with an equality fallback.
-        """
-        program = self._tables
-        if program is not None and program.stamp is self.rules.stamp:
-            kernel = self.kernel
-            policy = kernel.adversaries.policy if kernel is not None else None
-            if policy is self._tables_policy:
-                # The policy object this program last validated
-                # against; the label-set snapshots it captured are
-                # still the ones that policy holds.
-                return program
-            if policy is None:
-                if not program.tcb_subjects and not program.tcb_objects:
-                    self._tables_policy = policy
-                    return program
-            elif (
-                program.tcb_subjects is policy.tcb_subjects
-                and program.tcb_objects is policy.tcb_objects
-            ) or (
-                program.tcb_subjects == policy.tcb_subjects
-                and program.tcb_objects == policy.tcb_objects
-            ):
-                self._tables_policy = policy
-                return program
-        else:
-            kernel = self.kernel
-            policy = kernel.adversaries.policy if kernel is not None else None
-        program = self._tables = TableProgram(self)
-        self._tables_policy = policy
-        return program
-
-    def attach_tables(self, program):
-        """Adopt an externally built/loaded :class:`TableProgram`.
-
-        Called by :func:`repro.firewall.tables.compile_tables` and
-        :func:`~repro.firewall.tables.load_tables` after they validate
-        the program against this firewall's live rule base; the next
-        mediation dispatches through it without compiling anything.
-        """
-        self._tables = program
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -1005,24 +906,14 @@ class ProcessFirewall:
 
         walk_started = perf_counter() if metered else 0.0
         try:
-            config = self.config
-            if trace is None and not metered:
-                if config.table_dispatch:
-                    # TABLED: ahead-of-time flat decision tables, with
-                    # per-row JITTED fallback for dynamic predicates.
-                    verdict, rule = self.table_program().traverse(operation, frame)
-                elif config.jit_codegen:
-                    # JITTED: flat generated decision functions.
-                    verdict, rule = self.jit_program().traverse(operation, frame)
-                else:
-                    verdict, rule = self._traverse(operation, frame)
+            if trace is None and not metered and self.config.jit_codegen:
+                # JITTED: flat generated decision functions.
+                verdict, rule = self.jit_program().traverse(operation, frame)
             else:
-                # Traced or metered mediations take the interpreted
-                # walker, where per-rule trace records and phase timers
-                # live.  Every compiled rung bypasses identically here,
-                # so instrumented runs never drift between presets.
-                if metered and config.table_dispatch:
-                    metrics.inc("pf_tables_total", {"result": "bypass"})
+                # The interpreted walker.  Traced or metered mediations
+                # always take it, since per-rule trace records and phase
+                # timers live here; JITTED bypasses identically, so
+                # instrumented runs never drift between presets.
                 verdict, rule = self._traverse(operation, frame)
         finally:
             if metered:

@@ -64,12 +64,7 @@ class SessionRunner:
     ``init`` is the picklable worker payload: ``engine`` (preset name
     or config), ``rules_text`` (``save_rules`` output), ``world``
     (builder name or ``(name, kwargs)``, default the service world),
-    ``metered``, ``collect_audit``, ``worker_id``, and optionally
-    ``tables_text`` — a serialized flat-table artifact
-    (:func:`repro.firewall.tables.serialize_tables`) loaded instead of
-    compiling, so TABLED workers start at zero warmup.  A stale
-    artifact fails the worker loudly (:class:`repro.errors.PFTablesStale`
-    ships back as a worker error), never silently degrades.
+    ``metered``, ``collect_audit`` and ``worker_id``.
     """
 
     def __init__(self, init):
@@ -80,15 +75,7 @@ class SessionRunner:
             rules=init.get("rules_text"),
             world=init.get("world", "service"),
             metered=init.get("metered", False),
-            tables=init.get("tables_text"),
             dcache=init.get("dcache"),
-        )
-        #: Whether this runner adopted a pre-compiled artifact (the
-        #: cold-start test asserts real workers really loaded it).
-        self.tables_loaded = bool(
-            init.get("tables_text") is not None
-            and self.session.firewall._tables is not None
-            and self.session.firewall._tables.loaded
         )
         #: Pid-census size of the idle runner; churn tests assert the
         #: census returns here after every reap.
@@ -340,7 +327,6 @@ class SessionRunner:
             "cpu_s": self.busy_cpu + self.wire_cpu,
             "live_pids": len(self.session.kernel.processes),
             "baseline_pids": self.baseline_pids,
-            "tables_loaded": self.tables_loaded,
         }
 
 

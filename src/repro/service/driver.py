@@ -66,7 +66,6 @@ def run_service(
     window=DEFAULT_WORKER_WINDOW,
     metered=False,
     collect_audit=True,
-    tables_text=None,
     protocol=wire.DEFAULT_PROTOCOL,
     step_batch=None,
     dcache=None,
@@ -76,9 +75,6 @@ def run_service(
     ``rules_text`` defaults to the service rule base
     (:func:`~repro.workloads.generators.service_rules_text`).
     ``engine`` is any :func:`repro.api.resolve_engine` spelling.
-    ``tables_text`` optionally ships a serialized flat-table artifact
-    (:func:`repro.firewall.tables.serialize_tables`) to every worker so
-    TABLED workers load instead of compiling (zero-warmup cold start).
     ``processes=False`` runs inline (the serial reference when
     ``workers=1``).  ``mode="open"`` requires ``offered_rate``; see
     the module docstring for the two admission disciplines.
@@ -126,8 +122,6 @@ def run_service(
         # Worker kernels keep their default (dcache on) unless forced;
         # the dcache differential suite pins on == off.
         init["dcache"] = bool(dcache)
-    if tables_text is not None:
-        init["tables_text"] = tables_text
     if protocol == "binary":
         init["wire_templates"] = wire.SpecCodec.from_specs(specs).templates
         init["wire_strings"] = wire.audit_strings(rules_text)
@@ -289,7 +283,6 @@ def _merge(results, snapshots, counters, rejected, wall_s, mode, rate, workers, 
             "cpu_s": snap["cpu_s"],
             "live_pids": snap["live_pids"],
             "baseline_pids": snap["baseline_pids"],
-            "tables_loaded": snap.get("tables_loaded", False),
         })
     if metrics is not None:
         pool.wire.to_metrics(metrics, "driver")

@@ -32,7 +32,6 @@ TABLE6_COLUMNS = {
     "EPTSPC": ("EPTSPC", True, False),
     "COMPILED": ("COMPILED", True, False),
     "JITTED": ("JITTED", True, False),
-    "TABLED": ("TABLED", True, False),
     "TRACED": ("COMPILED", True, True),
 }
 

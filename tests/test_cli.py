@@ -193,3 +193,29 @@ class TestSuggest:
         log_path.write_text("[]")
         assert main(["suggest", str(log_path)]) == 0
         assert "no pure entrypoints" in capsys.readouterr().err
+
+
+class TestEngineFlag:
+    """``--engine`` is checked against the preset table at parse time."""
+
+    @pytest.mark.parametrize("verb,engine", [
+        ("serve", "TABLED"),
+        ("bench-service", "bogus"),
+        ("bench-scale", "bogus"),
+    ])
+    def test_unknown_preset_is_a_usage_error(self, verb, engine, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--engine", engine])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "usage: pfctl {}".format(verb) in err
+        assert "unknown engine preset {!r}".format(engine) in err
+        assert "EPTSPC" in err and "JITTED" in err
+
+    def test_preset_spelling_is_kept(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "--engine", "compiled"])
+        assert args.engine == "compiled"
+        assert build_parser().parse_args(["serve"]).engine == "JITTED"
