@@ -10,15 +10,7 @@ sessions from the open-ended workload models
 - **open-loop** behaviour at 0.5x / 1.0x / 2.0x the measured capacity:
   past saturation the bounded admission queue must reject the surplus
   and hold completed throughput near capacity — graceful backpressure,
-  never collapse;
-- the **wire-protocol comparison**: the same stream once per protocol
-  per worker count (:func:`repro.service.driver.compare_protocols`) —
-  v0's per-session pickles + per-call step loop against the batched
-  binary data plane (:mod:`repro.service.wire`), reporting cpu-basis
-  mediation throughput (codec CPU in the denominator), bytes/session,
-  sessions/frame, and the codec share of worker CPU.  Full-budget
-  gates: cpu-basis throughput >= ``WIRE_CPU_GATE`` and >= 3x fewer
-  bytes/session at the widest worker count.
+  never collapse.
 
 Writes ``benchmarks/BENCH_service.json`` when run at full budget.
 **Scaling basis**: as everywhere in this repo, the honest multi-worker
@@ -35,7 +27,7 @@ import platform
 
 from repro.analysis.tables import format_table
 from repro.service import run_service
-from repro.service.driver import compare_protocols, sweep_service
+from repro.service.driver import sweep_service
 from repro.workloads.generators import generate_stream, service_rules_text
 
 SERVICE_JSON = os.path.join(os.path.dirname(__file__), "BENCH_service.json")
@@ -47,17 +39,6 @@ FULL_BUDGET_SESSIONS = 120
 #: One stream seed for the whole bench (generated sessions, not RNG
 #: state, carry all the workload randomness).
 STREAM_SEED = 0x5EA5
-
-#: Wire-overhaul cpu-basis gate.  Originally 1.15x; the name-resolution
-#: dcache (PR 10) cut mediation CPU on the *normal* step loop, which is
-#: exactly the path only the v0 column still runs per call (the binary
-#: column's capture-and-replay loop was already skipping re-walks), so
-#: the binary protocol's relative cpu win narrowed from ~1.18x to
-#: ~1.12x while both columns got absolutely faster.  The gate now
-#: guards the crossing itself — binary must stay a measurable cpu win —
-#: not the pre-dcache margin.
-WIRE_CPU_GATE = 1.08
-
 
 def _sessions(default=200):
     return int(os.environ.get("PF_SERVICE_SESSIONS", default))
@@ -215,68 +196,3 @@ def test_service_sweep(run_once, emit):
                             "workers): {} vs {} at saturation".format(
                                 load["load_factor"], point["workers"],
                                 load["sessions_per_s"], at_saturation))
-
-
-def test_protocol_comparison(run_once, emit):
-    """The wire overhaul's payoff, measured: v0 vs binary per worker count.
-
-    Each row runs the same closed-loop stream once per protocol.  The
-    v0 column is the complete old data plane (per-session pickle
-    messages, per-call step loop); the binary column is the complete
-    new one (multi-session frames, interned specs, RLE results, the
-    capture-and-replay step loop).  cpu-basis throughput counts codec
-    CPU in the denominator for both, so the comparison prices the wire
-    crossing itself.
-
-    At full budget the widest worker count gates the overhaul:
-    cpu-basis mediation throughput >= ``WIRE_CPU_GATE`` and >= 3x
-    fewer bytes/session than v0 at the same load point, and the comparison
-    is folded into ``BENCH_service.json`` as ``protocol_comparison``
-    (the artifact's "both protocol columns").
-    """
-    sessions = _sessions()
-    grid = _worker_grid()
-    comparison = run_once(lambda: compare_protocols(
-        worker_counts=grid, sessions=sessions, seed=STREAM_SEED,
-    ))
-
-    rows = []
-    for row in comparison["rows"]:
-        for protocol in ("v0", "binary"):
-            col = row[protocol]
-            rows.append((row["workers"], protocol,
-                         col["mediations_per_cpu_s"], col["sessions_per_s"],
-                         col["bytes_per_session"], col["sessions_per_frame"],
-                         col["codec_cpu_share"]))
-        rows.append((row["workers"], "ratio", row["cpu_ratio"], "-",
-                     row["bytes_ratio"], "-", "-"))
-    emit(format_table(
-        ["workers", "protocol", "med/cpu-s", "sessions/s", "B/sess",
-         "sess/frame", "codec share"],
-        rows,
-        title="Wire protocol comparison ({} sessions/run)".format(sessions),
-    ))
-
-    widest = max(comparison["rows"], key=lambda row: row["workers"])
-    # Always-on sanity: binary actually batches and shrinks the wire.
-    assert widest["v0"]["sessions_per_frame"] == 1.0
-    assert widest["binary"]["sessions_per_frame"] > 1.0
-    assert widest["bytes_ratio"] is not None and widest["bytes_ratio"] > 1.0
-
-    if sessions >= FULL_BUDGET_SESSIONS:
-        assert widest["cpu_ratio"] >= WIRE_CPU_GATE, (
-            "binary protocol cpu-basis win below gate at {} workers: "
-            "{:.3f}x vs required {}x".format(
-                widest["workers"], widest["cpu_ratio"], WIRE_CPU_GATE))
-        assert widest["bytes_ratio"] >= 3.0, (
-            "binary protocol bytes/session reduction below gate at {} "
-            "workers: {:.2f}x vs required 3x".format(
-                widest["workers"], widest["bytes_ratio"]))
-        try:
-            with open(SERVICE_JSON) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            payload = {"benchmark": "service"}
-        payload["protocol_comparison"] = comparison
-        with open(SERVICE_JSON, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -13,10 +13,8 @@ import pytest
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 
-#: One seed for every benchmark's RNG use: shard assignment, randomized
-#: rule bases, and workload synthesis must be reproducible run-to-run
-#: (``bench_macro_scale.py::test_shard_manifest_reproducible`` pins
-#: that two back-to-back runs produce identical shard manifests).
+#: One seed for every benchmark's RNG use: randomized rule bases and
+#: workload synthesis must be reproducible run-to-run.
 RNG_SEED = 0x5F1ED
 
 
@@ -30,13 +28,6 @@ def _pinned_rng():
     """Pin the global RNG before every benchmark test."""
     pin_seeds()
     yield
-
-
-@pytest.fixture
-def reseed():
-    """Callable that re-pins the RNGs mid-test (for back-to-back
-    reproducibility runs inside one test body)."""
-    return pin_seeds
 
 
 def _append_results(text):

@@ -32,7 +32,7 @@ def main():
     php = PhpInterpreter(kernel, proc)
     for round_ in range(30):
         php.include("/var/www/html/app/page{}.php".format(round_ % 4))
-    print("traced {} resource accesses".format(len(firewall.log_records)))
+    print("traced {} resource accesses".format(len(firewall.audit.records(kind="log"))))
 
     # ---- 2. suggest rules from the trace -----------------------------
     suggested = suggest_rules_from_log(firewall, threshold=20)

@@ -60,7 +60,7 @@ def run_race(with_firewall):
     error = sched.get("victim").error
     if isinstance(error, errors.PFDenied):
         print("use call DROPPED: {}".format(error.rule.text))
-        print("victim STATE held check identity:", victim.pf_state)
+        print("victim STATE held check identity:", victim.pf.state)
     elif error is not None:
         print("victim failed:", error)
     clobbered = kernel.lookup("/etc/passwd").data != passwd_before

@@ -70,7 +70,7 @@ def resolve_engine(engine):
 
 
 #: World builders resolvable by name.  Registered by name (not by
-#: callable) because parallel/service worker payloads must pickle
+#: callable) because service worker payloads must pickle
 #: across the spawn boundary.  ``"standard"`` is the Ubuntu-flavoured
 #: E-scenario world from :func:`repro.world.build_world`.
 WORLD_BUILDERS = {
@@ -79,10 +79,9 @@ WORLD_BUILDERS = {
 
 #: Builders resolved lazily on first use, as ``(module, attribute)``.
 #: Lazy because their home modules import this one at top level — an
-#: eager import here would be circular — and because a worker that
-#: never replays a macro-scale world should not pay its import.
+#: eager import here would be circular — and because a process that
+#: never builds a service world should not pay its import.
 _LAZY_BUILDERS = {
-    "macro_scale": ("repro.workloads.macro", "build_scale_world"),
     "service": ("repro.workloads.generators", "build_service_world"),
 }
 

@@ -19,10 +19,6 @@ files:
   of the E1–E9 exploits) with decision tracing on and print why each
   mediation was allowed or dropped; ``--codegen`` instead prints the
   JITTED engine's generated per-chain decision functions for the file.
-- ``bench-scale`` — record the macro scaling workload, replay it
-  serially and sharded across N OS workers (``repro.parallel``), and
-  print per-point throughput (worker-CPU-time basis) with verdict
-  parity checked against the serial run.
 - ``bench-fork`` — fork a warm pre-fork parent at 1k/10k(/100k) live
   children under eager-copy vs copy-on-write state propagation
   (``repro.workloads.forkscale``) and print per-fork cost and
@@ -45,7 +41,6 @@ from repro import errors
 from repro.firewall.engine import EngineConfig, ProcessFirewall
 from repro.firewall.persist import list_rules, save_rules
 from repro.firewall.pftables import parse_rule, pftables
-from repro.service.wire import DEFAULT_PROTOCOL, PROTOCOLS
 
 
 def engine_preset(name):
@@ -279,8 +274,7 @@ def _cmd_counters_service(args):
         return 0
     registry = registry_from_prometheus(prom)
     wire_summary = result["wire"]
-    print("service counters: {} sessions over 2 workers ({} wire)".format(
-        args.service, wire_summary["protocol"]))
+    print("service counters: {} sessions over 2 workers".format(args.service))
     print("mediations: {}  dropped: {}".format(
         result["stats"]["invocations"], result["stats"]["drops"]))
     for direction in ("tx", "rx"):
@@ -358,68 +352,6 @@ def cmd_explain(args):
     return 0
 
 
-def cmd_bench_scale(args):
-    """Run the sharded macro-replay scaling sweep from the CLI."""
-    import json as _json
-
-    from repro.parallel import replay_serial, replay_sharded
-    from repro.rulesets.generated import install_full_rulebase
-    from repro.workloads.macro import record_scale_trace
-
-    if args.file:
-        firewall = _load_file(args.file)
-    else:
-        firewall = ProcessFirewall()
-        install_full_rulebase(firewall)
-    rules_text = save_rules(firewall)
-    trace = record_scale_trace(
-        sessions=args.sessions, loops=args.loops, profile=args.profile)
-    world = ("macro_scale", {"sessions": args.sessions})
-    serial = replay_serial(trace, rules_text, config=args.engine, world=world)
-    reference = serial["merged"]["verdicts"]
-    serial_tp = serial["aggregate"]["throughput_cpu"]
-    points = []
-    for workers in args.workers:
-        result = replay_sharded(
-            trace, rules_text, workers=workers, config=args.engine,
-            inline=args.inline, world=world)
-        if result["merged"]["verdicts"] != reference:
-            print("pfctl: verdict divergence at {} workers".format(workers),
-                  file=sys.stderr)
-            return 1
-        tp = result["aggregate"]["throughput_cpu"]
-        points.append({
-            "workers": workers,
-            "throughput_cpu": round(tp, 1),
-            "throughput_wall": round(result["aggregate"]["throughput_wall"], 1),
-            "speedup_cpu": round(tp / serial_tp, 3),
-            "digest": result["plan"]["digest"],
-        })
-    if args.json:
-        print(_json.dumps({
-            "engine": args.engine,
-            "profile": args.profile,
-            "trace_entries": len(trace.entries),
-            "scaling_basis": "worker-cpu-time",
-            "serial_throughput_cpu": round(serial_tp, 1),
-            "points": points,
-        }, indent=2, sort_keys=True))
-        return 0
-    print("macro-replay scaling: {} entries, engine {}, profile {} "
-          "(basis: worker CPU time)".format(
-              len(trace.entries), args.engine, args.profile))
-    print("{:>8} {:>16} {:>16} {:>9}".format(
-        "workers", "rec/cpu-s", "rec/wall-s", "speedup"))
-    print("{:>8} {:>16.1f} {:>16.1f} {:>9}".format(
-        "serial", serial_tp, serial["aggregate"]["throughput_wall"], "1.00x"))
-    for point in points:
-        print("{:>8} {:>16.1f} {:>16.1f} {:>8.2f}x".format(
-            point["workers"], point["throughput_cpu"],
-            point["throughput_wall"], point["speedup_cpu"]))
-    print("verdict parity vs serial: OK ({} records)".format(len(reference)))
-    return 0
-
-
 def cmd_serve(args):
     """Run the live mediation service over a generated session stream."""
     from repro.service import run_service
@@ -440,13 +372,12 @@ def cmd_serve(args):
         mode="open" if args.rate else "closed",
         offered_rate=args.rate,
         max_pending=args.max_pending,
-        protocol=args.protocol,
     )
     counters = result["counters"]
     throughput = result["throughput"]
     latency = result["latency"]
-    print("service: {} workers, engine {}, {} wire, {} mode".format(
-        args.workers, args.engine, args.protocol,
+    print("service: {} workers, engine {}, {} mode".format(
+        args.workers, args.engine,
         "open-loop @ {}/s".format(args.rate) if args.rate else "closed-loop"))
     print("sessions: {} offered, {} admitted, {} completed, {} rejected".format(
         args.sessions, counters["admitted"], counters["completed"],
@@ -484,7 +415,6 @@ def cmd_bench_service(args):
         seed=args.seed,
         engine=args.engine,
         processes=not args.inline,
-        protocol=args.protocol,
     )
     if args.json:
         print(_json.dumps(result, indent=2, sort_keys=True))
@@ -619,29 +549,6 @@ def build_parser():
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(
-        "bench-scale",
-        help="shard the macro-replay workload across N workers and "
-             "report throughput vs the serial engine")
-    p.add_argument("file", nargs="?", default=None,
-                   help="rules file (default: the generated full rule base)")
-    p.add_argument("--workers", type=lambda s: [int(n) for n in s.split(",")],
-                   default=[1, 2, 4], metavar="N[,N...]",
-                   help="worker counts to sweep (default 1,2,4)")
-    p.add_argument("--sessions", type=int, default=4,
-                   help="independent workload lineages to record (default 4)")
-    p.add_argument("--loops", type=int, default=20,
-                   help="iterations per session (default 20)")
-    p.add_argument("--profile", choices=("mixed", "null"), default="mixed")
-    p.add_argument("--engine", type=engine_preset, default="JITTED",
-                   help="engine preset for every worker (default JITTED)")
-    p.add_argument("--inline", action="store_true",
-                   help="run shards sequentially in-process instead of "
-                        "spawning OS workers (debugging)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the sweep as JSON instead of a table")
-    p.set_defaults(func=cmd_bench_scale)
-
-    p = sub.add_parser(
         "serve",
         help="run the live mediation service over a generated session "
              "stream and report throughput, tail latency, and backpressure")
@@ -663,11 +570,6 @@ def build_parser():
     p.add_argument("--inline", action="store_true",
                    help="run sessions in-process instead of spawning "
                         "OS workers (debugging / serial reference)")
-    p.add_argument("--protocol", choices=list(PROTOCOLS),
-                   default=DEFAULT_PROTOCOL,
-                   help="worker wire protocol: batched binary frames or "
-                        "the per-session pickle compatibility path "
-                        "(default %(default)s)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -689,10 +591,6 @@ def build_parser():
                    help="engine preset for every worker (default JITTED)")
     p.add_argument("--inline", action="store_true",
                    help="inline runners instead of OS workers")
-    p.add_argument("--protocol", choices=list(PROTOCOLS),
-                   default=DEFAULT_PROTOCOL,
-                   help="worker wire protocol to sweep under "
-                        "(default %(default)s)")
     p.add_argument("--json", action="store_true",
                    help="emit the sweep as JSON instead of a table")
     p.set_defaults(func=cmd_bench_service)

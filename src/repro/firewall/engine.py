@@ -43,7 +43,7 @@ decision traces (opt-in via :meth:`ProcessFirewall.enable_tracing`),
 the metrics registry (:attr:`ProcessFirewall.metrics`, disabled by
 default), and the bounded audit ring
 (:attr:`ProcessFirewall.audit`, always on — it replaces the old
-unbounded ``log_records`` list).  With tracing off and metrics
+unbounded list of ``-j LOG`` records).  With tracing off and metrics
 disabled the hot path pays only ``is None`` / boolean checks; the
 differential harness pins that enabling them changes no verdict.
 """
@@ -54,7 +54,6 @@ from time import perf_counter
 from typing import Dict
 
 from repro import errors
-from repro.deprecation import warn_once
 from repro.firewall import targets as tg
 from repro.firewall.context import _DECISION_STABLE_INT, ContextField, ContextFrame
 from repro.firewall.codegen import JitProgram
@@ -225,7 +224,7 @@ class EngineConfig:
         """Resolve a Table 6 column name to its configuration.
 
         Accepts the column spellings used across the benchmarks and the
-        parallel-replay driver (``"JITTED"``, ``"compiled"``, ...);
+        service worker payloads (``"JITTED"``, ``"compiled"``, ...);
         raises ``ValueError`` for unknown names so a typo in a worker
         payload fails loudly instead of silently running EPTSPC.
         """
@@ -308,8 +307,8 @@ class EngineStats:
     def as_dict(self):
         """JSON-ready snapshot of every counter.
 
-        The transport format for crossing a process boundary (the
-        parallel replay workers ship these back to the driver);
+        The transport format for crossing a process boundary (service
+        workers ship these back to the driver in their snapshots);
         :meth:`from_dict` inverts it and :meth:`merge` folds snapshots
         together.
         """
@@ -330,7 +329,7 @@ class EngineStats:
         """Fold another stats object (or snapshot dict) into this one.
 
         Pure counter addition, so the operation is associative and
-        commutative: merging per-shard stats in any order yields the
+        commutative: merging per-worker stats in any order yields the
         same totals.  Returns ``self`` for chaining.
         """
         if isinstance(other, dict):
@@ -349,9 +348,8 @@ class ProcessFirewall:
 
     - :attr:`stats` — flat :class:`EngineStats` counters (always on).
     - :attr:`audit` — bounded :class:`repro.obs.audit.AuditRing`; the
-      ``-j LOG`` target and drop notifications land here.
-      :attr:`log_records` remains as the historical view of the
-      ``"log"`` channel.
+      ``-j LOG`` target and drop notifications land here; read the
+      ``-j LOG`` records with ``audit.records(kind="log")``.
     - :attr:`metrics` — :class:`repro.obs.metrics.MetricsRegistry`
       (call ``firewall.metrics.enable()`` to start counting).
     - :attr:`tracer` — ``None`` until :meth:`enable_tracing`; then a
@@ -364,7 +362,7 @@ class ProcessFirewall:
         self.rules = RuleBase()
         self.kernel = None  # set by Kernel.attach_firewall
         self.stats = EngineStats()
-        #: Bounded audit ring (replaces the unbounded log_records list).
+        #: Bounded audit ring (replaces the unbounded ``-j LOG`` list).
         self.audit = AuditRing(capacity=audit_capacity)
         #: Per-rule/per-chain counters and phase timers; disabled by
         #: default so the hot path pays one boolean test per site.
@@ -453,23 +451,6 @@ class ProcessFirewall:
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
-
-    @property
-    def log_records(self):
-        """The ``-j LOG`` records, as the plain list it historically was.
-
-        A snapshot of the audit ring's ``"log"`` channel: indexable,
-        iterable, JSON-serializable — but bounded by the ring's
-        capacity, unlike the unbounded list it replaces.  Appending to
-        the returned list does not store anything; emit through
-        :attr:`audit` instead.
-
-        Deprecated (warns once per interpreter): read
-        ``firewall.audit.records(kind="log")`` directly.
-        """
-        warn_once("ProcessFirewall.log_records",
-                  'firewall.audit.records(kind="log")')
-        return self.audit.records(kind="log")
 
     def enable_tracing(self, capacity=256):
         """Start recording one decision trace per mediation.
@@ -634,8 +615,9 @@ class ProcessFirewall:
     def mediate_batch(self, operations):
         """Mediate a sequence of operations; returns per-record verdicts.
 
-        The batched single-worker fast path used by the parallel replay
-        driver (:mod:`repro.parallel.batch`).  The contract is strict:
+        The batched fast path behind the service runner's step loop
+        (:meth:`repro.service.core.SessionRunner._replayable_step`).
+        The contract is strict:
         calling this must be *observably identical* to the per-call
         loop — ``mediate(op)`` catching :class:`~repro.errors.PFDenied`
         for each record — in verdicts, :class:`EngineStats`, audit

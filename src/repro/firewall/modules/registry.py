@@ -65,8 +65,9 @@ def _entrypoint(operation, kernel):
     """Unwind the user stack into ``((image_path, rel_pc), ...)``.
 
     Innermost frame first.  Frames that do not map into any image
-    (forged PCs) are skipped; a corrupted stack aborts the unwind and
-    yields whatever was recovered — never an exception (paper §4.4).
+    (forged PCs) are skipped; a corrupted frame at any depth aborts the
+    unwind and yields ``()`` — frames recovered above it are discarded,
+    and no exception escapes (paper §4.4).
     """
     proc = operation.proc
     try:

@@ -51,7 +51,7 @@ def load_rules(firewall, text, flush=True):
     line applied cleanly.  Failures that surface at install time (e.g.
     a ``DROP`` rule in the mangle table, which only the apply step
     rejects) therefore leave the previous rules untouched.  The
-    engine's ``stats`` and ``log_records`` are never modified — a
+    engine's ``stats`` and audit ring are never modified — a
     restore replaces policy, not history.
     """
     table = "filter"

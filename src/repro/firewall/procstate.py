@@ -51,8 +51,8 @@ from collections.abc import MutableMapping
 from typing import Dict, Optional, Tuple
 
 #: Substrate event counters, keyed by event name.  Single-threaded by
-#: construction (each simulated kernel — and each parallel replay
-#: worker — lives in its own interpreter), so plain ints suffice.
+#: construction (each simulated kernel — and each service worker —
+#: lives in its own interpreter), so plain ints suffice.
 _STATS = {
     "cow_forks": 0,
     "eager_forks": 0,

@@ -67,7 +67,7 @@ class StateTarget(Target):
     This is the stateful half of the TOCTTOU template (record the inode
     at the "check" call) and of the signal rules (mark handler entry and
     exit).  The backing store is the ``task_struct`` extension
-    ``proc.pf_state`` (§5.1).
+    ``proc.pf.state`` (§5.1).
     """
 
     def __init__(self, key, value):

@@ -10,9 +10,8 @@ Three pieces, all threaded through :class:`repro.firewall.engine.ProcessFirewall
   per-chain / per-table counters and engine phase timers behind a
   near-zero-cost disabled path, exportable as JSON and Prometheus text.
 - :mod:`repro.obs.audit` — a bounded **audit ring buffer** with
-  severity levels, replacing the unbounded ``log_records`` list (now a
-  *deprecated* compatibility view — see ``docs/INTERNALS.md``, "Compat
-  shims and their removal plan").
+  severity levels, replacing the engine's old unbounded list of
+  ``-j LOG`` records (read them with ``audit.records(kind="log")``).
 - :mod:`repro.obs.service` — **service-mode counters**: admission /
   completion / rejection tallies, queue and inflight peaks, and a
   bounded latency reservoir with nearest-rank percentiles.

@@ -1,14 +1,14 @@
 """Bounded audit ring buffer with severity levels.
 
 The seed engine accumulated ``LOG``-target records in an unbounded
-Python list (``ProcessFirewall.log_records``); long trace-gathering
-runs grew without limit and there was no way to distinguish a routine
-``-j LOG`` record from a drop notification.  The ring replaces that
+Python list; long trace-gathering runs grew without limit and there
+was no way to distinguish a routine ``-j LOG`` record from a drop
+notification.  The ring replaces that
 list with a fixed-capacity buffer (oldest records evicted first, like
 a kernel ring buffer) carrying a severity and a *kind* channel per
-record.  The engine keeps ``log_records`` as a compatibility view over
-the ``"log"`` channel, so rule generation and the differential harness
-see exactly what the unbounded list used to hold.
+record.  ``records(kind="log")`` reads the ``-j LOG`` channel back,
+so rule generation and the differential harness see exactly what the
+unbounded list used to hold.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class AuditRing:
         A cheap high-water mark: callers bracketing a unit of work can
         diff two ``next_seq()`` readings to learn how many records the
         work emitted, then fetch exactly those via :meth:`tail` — the
-        parallel replay workers do this per trace entry to tag records
-        with a logical clock.
+        service runner does this per session step to tag records with a
+        logical clock.
         """
         return self._next_seq
 

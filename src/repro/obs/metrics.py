@@ -104,7 +104,7 @@ class MetricsRegistry:
         bucket[1] += 1
 
     # ------------------------------------------------------------------
-    # combination (sharded / multi-worker runs)
+    # combination (multi-worker runs)
     # ------------------------------------------------------------------
 
     def merge(self, other):
@@ -112,7 +112,7 @@ class MetricsRegistry:
 
         Pure addition on ``(name, labels)`` series and phase buckets,
         so the operation is **associative and commutative**: merging
-        per-shard registries in any order — or any grouping — yields
+        per-worker registries in any order — or any grouping — yields
         the same totals as one registry that counted everything
         (pinned by the property test in
         ``tests/obs/test_metrics_merge.py``).  Nothing is lost: every

@@ -18,10 +18,7 @@ the service wire path (the driver's pool and each worker's serve loop)
 keeps one, tallying frames and bytes by direction and frame kind,
 sessions carried per direction, and codec CPU time — the raw material
 of the ``pf_service_wire_*`` metric family and the benchmark's
-bytes-per-session / sessions-per-frame columns.  Both wire protocols
-feed it (``v0``'s pickle transport is byte-accounted too), so the
-protocol comparison in ``BENCH_service.json`` is measured, not
-estimated.
+bytes-per-session / sessions-per-frame columns.
 """
 
 from __future__ import annotations

@@ -1,37 +1,9 @@
-"""Sharded multi-worker replay of recorded macro workloads.
+"""What remains of the retired sharded-replay package.
 
-The paper's macrobenchmarks (§6.3, Table 7) replay serially through
-one kernel; this package adds the horizontal axis.  A recorded trace
-(:mod:`repro.workloads.replay`) is partitioned into **fork-lineage
-shards** (:mod:`~repro.parallel.shard`) — every process in a lineage
-lands in the same shard, so per-process firewall state (context cache,
-decision cache, traversal stack) never straddles a shard boundary.
-Each shard replays inside its own OS worker process
-(:mod:`~repro.parallel.worker`), against a freshly built world and a
-firewall reconstructed from one serialized rule base
-(``firewall/persist`` text shipped in the worker payload).  Workers
-return picklable snapshots — verdict streams, ``EngineStats`` dicts,
-Prometheus-text metrics, audit records tagged with worker id and
-logical clock — which :mod:`~repro.parallel.merge` folds back together
-order-independently.  :mod:`~repro.parallel.driver` orchestrates the
-whole run and is what ``pfctl bench-scale`` and the differential suite
-call; :mod:`~repro.parallel.batch` holds the in-process helpers that
-feed recorded mediation streams through ``engine.mediate_batch``.
+Sharded multi-worker replay was deleted; :mod:`repro.service` is the
+one multi-process runtime.  Only :mod:`repro.parallel.merge` is left,
+holding :func:`~repro.parallel.merge.strip_volatile`: the service
+runner imports it, and so does the benchmark's own test file
+(``repobench/test_repobench.py``), which is frozen with the benchmark
+and may not change.  Nothing is re-exported here.
 """
-
-from repro.parallel.batch import record_mediations, replay_mediations
-from repro.parallel.driver import replay_serial, replay_sharded
-from repro.parallel.merge import merge_snapshots, strip_volatile
-from repro.parallel.shard import ShardPlan, lineage_groups, plan_shards
-
-__all__ = [
-    "ShardPlan",
-    "lineage_groups",
-    "merge_snapshots",
-    "plan_shards",
-    "record_mediations",
-    "replay_mediations",
-    "replay_serial",
-    "replay_sharded",
-    "strip_volatile",
-]

@@ -1,133 +1,21 @@
-"""Folding per-shard worker snapshots back into one serial-shaped view.
+"""Audit-payload comparison: the per-run fields two runs may differ in.
 
-Merging is pure addition and sorting, so it is associative and
-order-independent: stats via ``EngineStats.merge``, metrics via
-``MetricsRegistry.merge`` (snapshots travel as Prometheus text and are
-parsed back), verdict streams and audit records re-interleaved by
-global trace index — the ``lclock`` each worker stamped on them.
-
-Two comparison helpers encode what "identical to serial" means:
-
-- :func:`strip_volatile` removes per-run fields from audit payloads
-  (``time`` is a wall-clock stamp; ``resource_id`` is an inode number,
-  and inodes allocated for files *created during replay* differ
-  between worlds even when the files are the same);
-- :data:`SHARD_VARIANT_STATS` / :data:`SHARD_VARIANT_METRIC_PREFIXES`
-  name the counters that legitimately differ under sharding with the
-  resource-context cache on: the rescache is per-world and per-inode,
-  so paths shared *across* lineages (``/bin/sh``, ``/etc``) hit a warm
-  entry in the serial world but miss once per worker world.  Every
-  per-process counter (decision cache, context cache) is lineage-local
-  and must match exactly; COMPILED configurations (no rescache) admit
-  full stats/metrics equality.
+:func:`strip_volatile` is what "the same audit record" means across
+worlds.  The service runner uses it to normalize the records it ships,
+and the benchmark's own test file (``repobench/test_repobench.py``,
+frozen with the benchmark) imports it from this module, which is why
+it lives here rather than in :mod:`repro.service`.
 """
 
 from __future__ import annotations
 
-from repro.firewall.engine import EngineStats
-from repro.obs.metrics import parse_prometheus, registry_from_prometheus
-
-#: ``EngineStats`` fields allowed to differ between a sharded JITTED
-#: run and its serial reference (rescache locality; see module doc).
-SHARD_VARIANT_STATS = (
-    "context_cost",
-    "cache_hits",
-    "rescache_hits",
-    "rescache_misses",
-    "rescache_invalidations",
-    "context_collections",
-)
-
-#: Metric families allowed to differ for the same reason, plus phase
-#: timers (wall-clock by construction).
-SHARD_VARIANT_METRIC_PREFIXES = (
-    "pf_rescache_total",
-    "pf_context_collections_total",
-    "pf_context_cache_hits_total",
-    "pf_phase_",
-)
-
-#: Audit-payload fields that are per-run, not per-decision.
+#: Audit-payload fields that are per-run, not per-decision: ``time`` is
+#: a wall-clock stamp; ``resource_id`` is an inode number, and inodes
+#: allocated for files created during a run differ between worlds even
+#: when the files are the same.
 VOLATILE_AUDIT_FIELDS = ("time", "resource_id")
 
 
 def strip_volatile(record, fields=VOLATILE_AUDIT_FIELDS):
     """Copy an audit payload without its per-run fields."""
     return {key: value for key, value in record.items() if key not in fields}
-
-
-def comparable_stats(stats_dict, exclude=()):
-    """An ``EngineStats.as_dict`` snapshot minus excluded fields."""
-    return {key: value for key, value in stats_dict.items() if key not in exclude}
-
-
-def comparable_metrics(prom_text, exclude_prefixes=()):
-    """Parsed Prometheus counters minus excluded families.
-
-    Returns ``{(name, labels): value}`` with every series whose name
-    starts with one of ``exclude_prefixes`` removed — the shape two
-    runs are compared by.
-    """
-    out = {}
-    for (name, labels), value in parse_prometheus(prom_text).items():
-        if any(name.startswith(prefix) for prefix in exclude_prefixes):
-            continue
-        out[(name, labels)] = value
-    return out
-
-
-def merge_snapshots(snapshots):
-    """Fold worker snapshots into one serial-shaped result dict.
-
-    Input order does not matter: verdicts and failures sort by global
-    entry index, audit records by ``(lclock, sub)`` (each worker's
-    records carry the global index of the entry that emitted them, and
-    lineage disjointness guarantees no two workers share an index).
-    Stats and metrics merge by counter addition.  Returns::
-
-        {"verdicts": [(gidx, method, status), ...],   # serial order
-         "executed": int, "failures": [...],
-         "stats": EngineStats-as-dict,
-         "metrics_prom": text or None,
-         "audit": [tagged records, serial order],
-         "workers": [per-worker timing/size rows]}
-    """
-    stats = EngineStats()
-    metrics = None
-    verdicts = []
-    failures = []
-    audit = []
-    executed = 0
-    workers = []
-    for snap in snapshots:
-        stats.merge(snap["stats"])
-        if snap.get("metrics_prom"):
-            shard_registry = registry_from_prometheus(snap["metrics_prom"])
-            if metrics is None:
-                metrics = shard_registry
-            else:
-                metrics.merge(shard_registry)
-        verdicts.extend(snap["verdicts"])
-        failures.extend(snap["failures"])
-        audit.extend(snap["audit"])
-        executed += snap["executed"]
-        workers.append({
-            "worker_id": snap["worker_id"],
-            "entries": snap["entries"],
-            "setup_s": snap["setup_s"],
-            "wall_s": snap["wall_s"],
-            "cpu_s": snap["cpu_s"],
-        })
-    verdicts.sort(key=lambda row: row[0])
-    failures.sort(key=lambda row: row[0])
-    audit.sort(key=lambda row: (row["lclock"], row["sub"]))
-    workers.sort(key=lambda row: row["worker_id"])
-    return {
-        "verdicts": verdicts,
-        "executed": executed,
-        "failures": failures,
-        "stats": stats.as_dict(),
-        "metrics_prom": metrics.to_prometheus() if metrics is not None else None,
-        "audit": audit,
-        "workers": workers,
-    }

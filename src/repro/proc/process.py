@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro import errors
-from repro.deprecation import warn_once
-from repro.firewall.procstate import CowMap, ProcState
+from repro.firewall.procstate import ProcState
 from repro.proc.signals import SignalState
 from repro.proc.stack import BinaryImage, UserStack
 
@@ -93,55 +92,6 @@ class Process:
         #: engine is reentrant and the task can be scheduled out mid-walk.
         #: Always empty at syscall boundaries, hence not fork-inherited.
         self.pf_traversal = []
-
-    # ------------------------------------------------------------------
-    # firewall state views (historical attribute names)
-    # ------------------------------------------------------------------
-
-    @property
-    def pf_state(self):
-        """The STATE match/target backing map (a fork-shared CowMap).
-
-        Deprecated (warns once per interpreter): read ``proc.pf.state``.
-        """
-        warn_once("Process.pf_state", "proc.pf.state")
-        return self.pf.state
-
-    @pf_state.setter
-    def pf_state(self, mapping):
-        warn_once("Process.pf_state", "proc.pf.state")
-        self.pf.state = mapping if isinstance(mapping, CowMap) else CowMap(mapping)
-
-    @property
-    def pf_context_cache(self):
-        """Per-syscall context cache, ``(syscall_seq, values)`` or None.
-
-        Deprecated (warns once per interpreter): read
-        ``proc.pf.context_cache``.
-        """
-        warn_once("Process.pf_context_cache", "proc.pf.context_cache")
-        return self.pf.context_cache
-
-    @pf_context_cache.setter
-    def pf_context_cache(self, value):
-        warn_once("Process.pf_context_cache", "proc.pf.context_cache")
-        self.pf.context_cache = value
-
-    @property
-    def pf_decision_cache(self):
-        """Negative-decision cache as ``(stamp, entries)`` or None.
-
-        Deprecated (warns once per interpreter): use
-        ``proc.pf.decision_cache`` (or the ``decision_probe`` /
-        ``decision_writable`` protocol).
-        """
-        warn_once("Process.pf_decision_cache", "proc.pf.decision_cache")
-        return self.pf.decision_cache
-
-    @pf_decision_cache.setter
-    def pf_decision_cache(self, value):
-        warn_once("Process.pf_decision_cache", "proc.pf.decision_cache")
-        self.pf.decision_cache = value
 
     # ------------------------------------------------------------------
     # descriptor table

@@ -1,11 +1,11 @@
 """``repro.service`` — the live mediation server (paper §6.3 at scale).
 
-Where :mod:`repro.parallel` replays *finite recorded traces*, this
-package sustains open-ended traffic: generated user sessions
+This package is the repository's one multi-process runtime.  It
+sustains open-ended traffic: generated user sessions
 (:mod:`repro.workloads.generators`) are admitted into a pool of
 long-lived workers, each session runs against a live kernel through
 the :class:`repro.api.Session` facade, and its firewall state is
-reaped at close.  Three layers:
+reaped at close.  Four layers:
 
 - :mod:`repro.service.core` — :class:`~repro.service.core.SessionRunner`,
   the per-worker engine that admits, executes, and reaps one session
@@ -14,8 +14,8 @@ reaped at close.  Three layers:
   long-lived spawn-context OS workers (or inline runners) with a
   bounded per-worker in-flight window;
 - :mod:`repro.service.wire` — the data plane: batched length-prefixed
-  binary frames, spec template interning, compact result records, and
-  the protocol-v0 compatibility path (``docs/SERVICE.md``);
+  binary frames, spec template interning, and compact result records
+  (``docs/SERVICE.md``);
 - :mod:`repro.service.driver` — :func:`~repro.service.driver.run_service`,
   the closed-/open-loop admission controller with batched adaptive
   admission and backpressure, plus the merge back to one serial-shaped
@@ -24,7 +24,6 @@ reaped at close.  Three layers:
 Entry points: ``pfctl serve`` and ``pfctl bench-service``.
 """
 
-from repro.service.driver import compare_protocols, run_service
-from repro.service.wire import DEFAULT_PROTOCOL, PROTOCOLS
+from repro.service.driver import run_service
 
-__all__ = ["DEFAULT_PROTOCOL", "PROTOCOLS", "compare_protocols", "run_service"]
+__all__ = ["run_service"]

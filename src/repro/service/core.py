@@ -16,9 +16,8 @@ time.  For each session it:
    ``"ok"``, ``"PFDenied"``, or the errno name;
 3. brackets the firewall audit ring around each step, tagging emitted
    records ``(lclock=sid, sub)`` and rewriting live pids to stable
-   per-session logical ids — the same discipline as
-   :mod:`repro.parallel.worker`, so merged service audit interleaves
-   back to the serial shape;
+   per-session logical ids, so merged service audit interleaves back
+   to the serial shape;
 4. **reaps** every process the session created
    (:meth:`repro.api.Session.reap`): descriptors closed, pid census
    entry removed, CoW firewall state released.  The churn tests pin
@@ -32,6 +31,7 @@ under the ``multiprocessing`` **spawn** context;
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import time
 import traceback
@@ -40,7 +40,6 @@ from repro.api import Session
 from repro.errors import KernelError, PFDenied
 from repro.obs.audit import severity_name
 from repro.obs.service import WireCounters
-from repro.parallel.batch import record_mediations
 from repro.parallel.merge import strip_volatile
 from repro.service import wire
 from repro.vfs.file import OpenFlags
@@ -56,6 +55,35 @@ _MEDIATED_STEPS = frozenset(
 #: file content and ``fork_exec`` mutates the process census, so both
 #: always execute for real.
 _REPLAYABLE_STEPS = frozenset(("stat", "open_read", "trap_open"))
+
+
+@contextlib.contextmanager
+def record_mediations(firewall):
+    """Capture every operation mediated by ``firewall`` inside the block.
+
+    Yields the list the operations accumulate into, in mediation
+    order.  Denied operations are captured too (the denial re-raises
+    to the caller unchanged — recording must not alter behavior).
+    Shadows the instance's ``mediate`` attribute and restores the
+    previous state on exit, so nesting and pre-shadowed instances are
+    handled.
+    """
+    captured = []
+    previous = firewall.__dict__.get("mediate")
+    original = firewall.mediate
+
+    def recording_mediate(operation):
+        captured.append(operation)
+        return original(operation)
+
+    firewall.mediate = recording_mediate
+    try:
+        yield captured
+    finally:
+        if previous is None:
+            del firewall.mediate
+        else:
+            firewall.mediate = previous
 
 
 class SessionRunner:
@@ -84,10 +112,9 @@ class SessionRunner:
         #: bodies only — setup/idle excluded), part of the cpu-basis
         #: throughput denominator.
         self.busy_cpu = 0.0
-        #: Wire CPU seconds — message (de)serialization charged by the
-        #: worker serve loop.  Counted into the snapshot's ``cpu_s``
-        #: for *both* protocols, so the cpu-basis throughput comparison
-        #: includes the serialization tax it is meant to expose.
+        #: Wire CPU seconds — frame (de)serialization charged by the
+        #: worker serve loop.  Counted into the snapshot's ``cpu_s``,
+        #: so the cpu-basis throughput includes the serialization tax.
         self.wire_cpu = 0.0
         #: Route repeated read-only steps through the captured-stream
         #: ``mediate_batch`` fast path (see :meth:`_replayable_step`).
@@ -173,7 +200,7 @@ class SessionRunner:
     def run_batch(self, specs):
         """Run one frame's sessions back-to-back, in frame order.
 
-        The execution unit behind a binary ``run`` frame: results come
+        The execution unit behind a ``run`` frame: results come
         back in submission order so the worker can answer with one
         ``result`` frame.  Purely sequential — a worker is still one
         session at a time; the batching amortizes the *pipe*, not the
@@ -192,8 +219,7 @@ class SessionRunner:
         vocabulary — identical to its first run except for the syscall
         sequence numbers, and its fd open/read/close churn has no
         observable effect.  So the first run of each ``(kind, path)``
-        executes for real under
-        :func:`repro.parallel.batch.record_mediations`, also noting
+        executes for real under :func:`record_mediations`, also noting
         the per-syscall group structure of the captured stream (which
         operations belonged to which ``begin_syscall`` window, and the
         syscall names — a denied ``trap_open`` captures only its
@@ -313,9 +339,8 @@ class SessionRunner:
 
         ``cpu_s`` is mediation-busy CPU *plus* the worker's wire codec
         CPU — the serve loop charges (de)serialization time to
-        :attr:`wire_cpu` under either protocol, so the cpu-basis
-        throughput the benchmark compares includes the crossing cost
-        this PR exists to shrink.
+        :attr:`wire_cpu`, so the cpu-basis throughput includes the
+        cost of crossing the pipe.
         """
         firewall = self.session.firewall
         metrics = firewall.metrics
@@ -345,46 +370,8 @@ def _finish_snapshot(runner, counters):
     return snap
 
 
-def _serve_v0(conn, init):
-    """The per-session pickle protocol loop (``wire_protocol="v0"``).
-
-    One pickled ``("run", spec)`` in, one pickled ``("done", result)``
-    out, ``("fin",)`` answered with ``("fin", snapshot)``.  Messages
-    ride :meth:`~multiprocessing.connection.Connection.send_bytes` so
-    the byte and codec-CPU tallies are measured for v0 too — the
-    benchmark's protocol comparison needs both columns on the same
-    accounting basis.
-    """
-    runner = SessionRunner(init)
-    counters = WireCounters()
-    while True:
-        data = conn.recv_bytes()
-        cpu = time.process_time()
-        msg = pickle.loads(data)
-        counters.observe_decode(time.process_time() - cpu)
-        counters.observe_frame(
-            "rx", msg[0], len(data), sessions=1 if msg[0] == "run" else 0)
-        if msg[0] == "run":
-            result = runner.run_session(msg[1])
-            cpu = time.process_time()
-            out = pickle.dumps(("done", result), protocol=pickle.HIGHEST_PROTOCOL)
-            counters.observe_encode(time.process_time() - cpu)
-            conn.send_bytes(out)
-            counters.observe_frame("tx", "done", len(out), sessions=1)
-        elif msg[0] == "fin":
-            runner.wire_cpu += counters.encode_s + counters.decode_s
-            out = pickle.dumps(
-                ("fin", _finish_snapshot(runner, counters)),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            conn.send_bytes(out)
-            return
-        else:
-            raise ValueError("unknown service message {!r}".format(msg[0]))
-
-
-def _serve_binary(conn, init):
-    """The batched binary protocol loop (``wire_protocol="binary"``).
+def _serve(conn, init):
+    """The worker's frame loop.
 
     Frames from :mod:`repro.service.wire`: a ``run`` frame carries a
     batch of codec-interned specs, answered by one ``result`` frame of
@@ -432,29 +419,18 @@ def _serve_binary(conn, init):
 
 
 def service_worker_entry(conn, init):
-    """Spawn-context worker main loop.
+    """Spawn-context worker main loop (driver side in
+    :mod:`repro.service.pool`).
 
-    Dispatches on ``init["wire_protocol"]`` to the v0 pickle loop or
-    the batched binary loop (driver side in
-    :mod:`repro.service.pool`).  Any failure ships a traceback —
-    ``("error", text)`` under v0, an error frame under binary — and
-    exits; the driver re-raises with the child traceback attached.
+    Any failure ships its traceback as an error frame and exits; the
+    driver re-raises with the child traceback attached.
     """
-    protocol = init.get("wire_protocol", wire.DEFAULT_PROTOCOL)
     try:
-        if protocol == "binary":
-            _serve_binary(conn, init)
-        else:
-            _serve_v0(conn, init)
+        _serve(conn, init)
     except BaseException:
         try:
-            text = traceback.format_exc()
-            if protocol == "binary":
-                conn.send_bytes(wire.pack_frame(
-                    wire.FRAME_ERROR, [text.encode("utf-8")]))
-            else:
-                conn.send_bytes(pickle.dumps(
-                    ("error", text), protocol=pickle.HIGHEST_PROTOCOL))
+            conn.send_bytes(wire.pack_frame(
+                wire.FRAME_ERROR, [traceback.format_exc().encode("utf-8")]))
         except (BrokenPipeError, OSError):
             pass
     finally:

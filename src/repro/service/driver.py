@@ -19,21 +19,19 @@ Two admission modes:
 
 Admission is **batched**: each loop iteration hands the pool every
 pending session its free window can take in one
-:meth:`~repro.service.pool.ServicePool.submit_many` call, so under the
-binary wire protocol (:mod:`repro.service.wire`) frame sizes track
-queue depth adaptively — an idle service ships single-session frames
+:meth:`~repro.service.pool.ServicePool.submit_many` call, so wire
+frame sizes (:mod:`repro.service.wire`) track queue depth adaptively — an idle service ships single-session frames
 at minimum latency, a backlogged one coalesces up to a full window per
 worker into each pipe write.
 
-Results merge back to one serial-shaped dict exactly like
-:mod:`repro.parallel.merge`: per-session verdict streams sort by
-``sid``, audit records by ``(sid, sub)``, worker engine stats fold via
+Results merge back to one serial-shaped dict: per-session verdict
+streams sort by ``sid``, audit records by ``(sid, sub)``, worker engine stats fold via
 ``EngineStats.merge``, and throughput is reported on both the
 wall-clock and worker-CPU-time bases (the latter is the honest scaling
 measure on core-starved CI runners).  The merged dict also carries a
 ``wire`` section — driver- and worker-endpoint frame/byte/codec
 tallies plus bytes-per-session and sessions-per-frame — which is what
-:func:`compare_protocols` and the benchmark's protocol columns read.
+the benchmark's wire columns read.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ def run_service(
     window=DEFAULT_WORKER_WINDOW,
     metered=False,
     collect_audit=True,
-    protocol=wire.DEFAULT_PROTOCOL,
-    step_batch=None,
+    step_batch=True,
     dcache=None,
 ):
     """Run ``specs`` through a service pool; returns the merged result.
@@ -77,20 +74,14 @@ def run_service(
     ``engine`` is any :func:`repro.api.resolve_engine` spelling.
     ``processes=False`` runs inline (the serial reference when
     ``workers=1``).  ``mode="open"`` requires ``offered_rate``; see
-    the module docstring for the two admission disciplines.
-    ``protocol`` picks the worker wire path
-    (:data:`repro.service.wire.PROTOCOLS`): the default ``"binary"``
-    interns the stream's spec templates and the shared audit string
-    table once (:meth:`~repro.service.wire.SpecCodec.from_specs` /
-    :func:`~repro.service.wire.audit_strings`, shipped in worker init)
-    and batches sessions into frames; ``"v0"`` is the per-session
-    pickle compatibility path — merged observables are pinned
-    identical across the two.  ``step_batch`` picks the runner's step
-    loop; the default ``None`` ties it to the protocol (binary gets
-    the capture-and-replay batched loop, v0 the original per-call
-    loop, so each protocol column measures its whole data plane), and
-    an explicit boolean overrides that coupling for differential
-    tests.
+    the module docstring for the two admission disciplines.  The
+    stream's spec templates and the shared audit string table are
+    interned once (:meth:`~repro.service.wire.SpecCodec.from_specs` /
+    :func:`~repro.service.wire.audit_strings`) and shipped in the
+    worker init payload.  ``step_batch`` picks the runner's step loop:
+    the default ``True`` is the capture-and-replay batched loop,
+    ``False`` the plain per-call loop — the reference the differential
+    tests compare the batched loop against.
 
     The returned dict: ``verdicts`` ``[(sid, step, op, status), ...]``
     in serial order, ``audit`` (tagged, normalized, serial order),
@@ -115,16 +106,15 @@ def run_service(
         "world": "service",
         "metered": metered,
         "collect_audit": collect_audit,
-        "wire_protocol": protocol,
-        "step_batch": (protocol == "binary") if step_batch is None else step_batch,
+        "wire_protocol": wire.PROTOCOL,
+        "step_batch": step_batch,
+        "wire_templates": wire.SpecCodec.from_specs(specs).templates,
+        "wire_strings": wire.audit_strings(rules_text),
     }
     if dcache is not None:
         # Worker kernels keep their default (dcache on) unless forced;
         # the dcache differential suite pins on == off.
         init["dcache"] = bool(dcache)
-    if protocol == "binary":
-        init["wire_templates"] = wire.SpecCodec.from_specs(specs).templates
-        init["wire_strings"] = wire.audit_strings(rules_text)
     pool = ServicePool(workers, init, processes=processes, window=window)
     counters = ServiceCounters()
     results = []
@@ -230,8 +220,7 @@ def _wire_summary(pool, snapshots, completed):
     tallies folded across snapshots, and the two derived figures the
     benchmark gates on: ``bytes_per_session`` (driver tx+rx over
     completed sessions) and ``sessions_per_frame`` (sessions carried
-    per driver-sent run frame — 1.0 under v0 by construction, up to a
-    full worker window under binary batching).  Inline pools move no
+    per driver-sent run frame, up to a full worker window).  Inline pools move no
     bytes; their summary is all zeros with ``None`` derived figures.
     """
     driver = pool.wire
@@ -242,7 +231,6 @@ def _wire_summary(pool, snapshots, completed):
     total_bytes = driver.bytes["tx"] + driver.bytes["rx"]
     run_frames = driver.frames["tx"].get("run", 0)
     return {
-        "protocol": pool.protocol,
         "driver": driver.as_dict(),
         "workers": worker_tallies.as_dict(),
         "bytes_per_session": (total_bytes / completed) if completed and total_bytes else None,
@@ -289,8 +277,8 @@ def _merge(results, snapshots, counters, rejected, wall_s, mode, rate, workers, 
     mediations = sum(r["mediations"] for r in results)
     drops = sum(r["drops"] for r in results)
     # CPU-basis rate: each worker's mediation count over its busy CPU
-    # time, summed — the repro.parallel scaling basis, stable on
-    # core-starved hosts where wall-clock parallelism is a lie.
+    # time, summed — stable on core-starved hosts where wall-clock
+    # parallelism is a lie.
     throughput_cpu = 0.0
     for snap in sorted(snapshots, key=lambda s: s["worker_id"]):
         if snap["cpu_s"] > 0:
@@ -334,7 +322,6 @@ def sweep_service(
     processes=True,
     max_pending=DEFAULT_MAX_PENDING,
     window=DEFAULT_WORKER_WINDOW,
-    protocol=wire.DEFAULT_PROTOCOL,
 ):
     """The steady-state service sweep behind ``BENCH_service.json``.
 
@@ -358,7 +345,7 @@ def sweep_service(
     for workers in worker_counts:
         closed = run_service(
             specs, rules_text, engine=engine, workers=workers,
-            processes=processes, window=window, protocol=protocol,
+            processes=processes, window=window,
         )
         capacity = closed["throughput"]["sessions_per_s"]
         closed_wire = closed["wire"]
@@ -386,7 +373,7 @@ def sweep_service(
             point = run_service(
                 specs, rules_text, engine=engine, workers=workers,
                 processes=processes, mode="open", offered_rate=rate,
-                max_pending=max_pending, window=window, protocol=protocol,
+                max_pending=max_pending, window=window,
             )
             row["load_points"].append({
                 "load_factor": factor,
@@ -407,73 +394,7 @@ def sweep_service(
         "processes": bool(processes),
         "max_pending": max_pending,
         "worker_window": window,
-        "protocol": protocol,
         "latency_unit": "microseconds (per mediated syscall, wall clock)",
         "scaling_basis": "sessions/s wall + mediations per worker-CPU-second",
         "worker_points": worker_points,
-    }
-
-
-def compare_protocols(
-    worker_counts=(1, 2, 4, 8),
-    sessions=200,
-    seed=0x5EA5,
-    engine="JITTED",
-    processes=True,
-    window=DEFAULT_WORKER_WINDOW,
-):
-    """Closed-loop v0-vs-binary wire comparison, one row per worker count.
-
-    The same stream runs once per protocol at each worker count; each
-    row reports, per protocol, cpu-basis mediation throughput (wire
-    codec CPU included in the denominator — the crossing tax is the
-    thing under test), wall-clock session throughput, bytes/session,
-    sessions/frame, and the codec share of total worker CPU.  Two
-    derived ratios close the row: ``cpu_ratio`` (binary over v0
-    cpu-basis throughput, the benchmark's ≥1.15× gate at 8 workers)
-    and ``bytes_ratio`` (v0 over binary bytes/session, the ≥3× gate).
-    """
-    specs = generate_stream(sessions, seed)
-    rules_text = service_rules_text()
-    rows = []
-    for workers in worker_counts:
-        row = {"workers": workers}
-        for protocol in wire.PROTOCOLS:
-            run = run_service(
-                specs, rules_text, engine=engine, workers=workers,
-                processes=processes, window=window, protocol=protocol,
-            )
-            summary = run["wire"]
-            codec = summary["codec_s"]
-            worker_cpu = sum(r["cpu_s"] for r in run["workers"])
-            codec_cpu = codec["worker_encode"] + codec["worker_decode"]
-            row[protocol] = {
-                "mediations_per_cpu_s": round(
-                    run["throughput"]["mediations_per_cpu_s"], 1),
-                "sessions_per_s": round(run["throughput"]["sessions_per_s"], 1),
-                "bytes_per_session": (
-                    round(summary["bytes_per_session"], 1)
-                    if summary["bytes_per_session"] is not None else None),
-                "sessions_per_frame": (
-                    round(summary["sessions_per_frame"], 2)
-                    if summary["sessions_per_frame"] is not None else None),
-                "codec_cpu_share": (
-                    round(codec_cpu / worker_cpu, 4) if worker_cpu else None),
-            }
-        v0_cpu = row["v0"]["mediations_per_cpu_s"]
-        binary_cpu = row["binary"]["mediations_per_cpu_s"]
-        row["cpu_ratio"] = round(binary_cpu / v0_cpu, 3) if v0_cpu else None
-        v0_bytes = row["v0"]["bytes_per_session"]
-        binary_bytes = row["binary"]["bytes_per_session"]
-        row["bytes_ratio"] = (
-            round(v0_bytes / binary_bytes, 2) if v0_bytes and binary_bytes else None)
-        rows.append(row)
-    return {
-        "engine": engine,
-        "sessions": sessions,
-        "seed": seed,
-        "processes": bool(processes),
-        "worker_window": window,
-        "cpu_basis": "mediations per worker-CPU-second, wire codec CPU included",
-        "rows": rows,
     }

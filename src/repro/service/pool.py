@@ -1,22 +1,17 @@
 """Long-lived worker pool for the mediation service.
 
-:mod:`repro.parallel` workers are one-shot: build a world, replay a
-shard, ship one snapshot, exit.  A service cannot pay world
-construction per session, so :class:`ServicePool` keeps spawn-context
-OS workers **alive across sessions**: each worker builds its
+A service cannot pay world construction per session, so
+:class:`ServicePool` keeps spawn-context OS workers **alive across
+sessions**: each worker builds its
 :class:`~repro.service.core.SessionRunner` once, then serves session
 batches over its pipe until the pool is closed, answering the final
 ``fin`` exchange with its engine/obs snapshot.
 
-Transport is selected by ``init["wire_protocol"]`` (see
-:mod:`repro.service.wire`): the default ``"binary"`` protocol ships
-multi-session run frames of template-interned spec records and gets
-compact result records back; the ``"v0"`` compatibility protocol ships
-one pickled ``("run", spec)`` per session exactly as the service
-originally did.  Both ride ``send_bytes``/``recv_bytes`` and feed the
-pool's driver-side :class:`~repro.obs.service.WireCounters`, so the
-two are comparable on the same byte/CPU accounting basis and the
-differential suite can pin their merged observables identical.
+Transport is the binary frame format of :mod:`repro.service.wire`:
+multi-session run frames of template-interned spec records go out,
+compact result records come back, both over
+``send_bytes``/``recv_bytes`` and tallied by the pool's driver-side
+:class:`~repro.obs.service.WireCounters`.
 
 The pool also has an inline mode (``processes=False``) running the
 same :class:`SessionRunner` code in the calling process — the serial
@@ -56,14 +51,15 @@ class ServicePool:
 
     ``init`` is the :class:`~repro.service.core.SessionRunner` payload
     (engine, rules text, world, metering) shipped to every worker,
-    plus the pool-level wire keys: ``wire_protocol`` (defaulted to
-    :data:`repro.service.wire.DEFAULT_PROTOCOL` and injected into the
-    worker payload so both pipe ends speak the same protocol) and
+    plus the pool-level wire keys: ``wire_protocol`` (only
+    :data:`repro.service.wire.PROTOCOL` is accepted; any other value
+    is a frame-format mismatch and raises ``ValueError``) and
     optionally ``wire_templates`` (a
     :class:`~repro.service.wire.SpecCodec` table) and ``wire_strings``
     (the shared audit string table,
     :func:`repro.service.wire.audit_strings`) — without them the
-    binary codec still works, records just take escape/inline paths.  ``processes=True`` starts spawn-context OS workers,
+    codec still works, records just take escape/inline paths.
+    ``processes=True`` starts spawn-context OS workers,
     ``False`` runs inline runners in the calling process (results are
     queued and drained through the same :meth:`poll` API, so drivers
     are mode-blind).  ``window`` bounds per-worker outstanding
@@ -73,15 +69,14 @@ class ServicePool:
     def __init__(self, workers, init, processes=True, window=DEFAULT_WORKER_WINDOW):
         if workers < 1:
             raise ValueError("need at least one worker")
-        protocol = init.get("wire_protocol", wire.DEFAULT_PROTOCOL)
-        if protocol not in wire.PROTOCOLS:
+        protocol = init.get("wire_protocol", wire.PROTOCOL)
+        if protocol != wire.PROTOCOL:
             raise ValueError(
-                "unknown wire protocol {!r} (expected one of {})".format(
-                    protocol, "/".join(wire.PROTOCOLS)))
+                "unknown wire protocol {!r} (expected {!r})".format(
+                    protocol, wire.PROTOCOL))
         self.workers = workers
         self.window = window
         self.processes = processes
-        self.protocol = protocol
         #: Driver-endpoint wire tallies (frames/bytes/sessions/codec
         #: CPU); the merge folds these with each worker's own.
         self.wire = WireCounters()
@@ -98,7 +93,6 @@ class ServicePool:
                 parent, child = ctx.Pipe(duplex=True)
                 payload = dict(init)
                 payload["worker_id"] = worker_id
-                payload["wire_protocol"] = protocol
                 proc = ctx.Process(
                     target=service_worker_entry, args=(child, payload)
                 )
@@ -112,7 +106,6 @@ class ServicePool:
             for worker_id in range(workers):
                 payload = dict(init)
                 payload["worker_id"] = worker_id
-                payload["wire_protocol"] = protocol
                 self._runners.append(SessionRunner(payload))
 
     # ------------------------------------------------------------------
@@ -157,8 +150,7 @@ class ServicePool:
         overload is *its* admission decision, not a hidden queue here.
 
         Process mode then ships each worker its assignments in **one
-        pipe write**: a multi-session binary run frame, or (v0) the
-        per-session pickled messages.  Inline mode executes each spec
+        pipe write**: a multi-session run frame.  Inline mode executes each spec
         synchronously on its assigned runner, holding the window slot
         until :meth:`poll`.
         """
@@ -178,25 +170,16 @@ class ServicePool:
         for worker_id, batch in enumerate(assignments):
             if not batch:
                 continue
-            if self.protocol == "binary":
-                for spec in batch:
-                    self._result_kinds[spec["sid"]] = wire.step_kinds(spec)
-                cpu = time.process_time()
-                frame = wire.pack_frame(
-                    wire.FRAME_RUN,
-                    [self._codec.encode(spec) for spec in batch],
-                )
-                self.wire.observe_encode(time.process_time() - cpu)
-                self._send_bytes(worker_id, frame)
-                self.wire.observe_frame("tx", "run", len(frame), sessions=len(batch))
-            else:
-                for spec in batch:
-                    cpu = time.process_time()
-                    data = pickle.dumps(
-                        ("run", spec), protocol=pickle.HIGHEST_PROTOCOL)
-                    self.wire.observe_encode(time.process_time() - cpu)
-                    self._send_bytes(worker_id, data)
-                    self.wire.observe_frame("tx", "run", len(data), sessions=1)
+            for spec in batch:
+                self._result_kinds[spec["sid"]] = wire.step_kinds(spec)
+            cpu = time.process_time()
+            frame = wire.pack_frame(
+                wire.FRAME_RUN,
+                [self._codec.encode(spec) for spec in batch],
+            )
+            self.wire.observe_encode(time.process_time() - cpu)
+            self._send_bytes(worker_id, frame)
+            self.wire.observe_frame("tx", "run", len(frame), sessions=len(batch))
 
     def poll(self, timeout=None):
         """Collect completed-session results; returns a (maybe empty) list.
@@ -204,7 +187,7 @@ class ServicePool:
         Inline mode drains the synchronous-completion queue (its
         window slots with it).  Process mode waits up to ``timeout``
         seconds for any worker pipe to be readable and drains every
-        ready one — a binary worker answers a whole run frame with one
+        ready one — a worker answers a whole run frame with one
         result frame, so a single poll may retire a batch.  A worker
         error is re-raised here with the child traceback attached.
         """
@@ -219,42 +202,26 @@ class ServicePool:
         for conn in ready:
             worker_id = self._conns.index(conn)
             data = self._recv_bytes(conn, worker_id)
-            if self.protocol == "binary":
-                kind, payloads = wire.unpack_frame(data)
-                name = wire.FRAME_NAMES.get(kind, str(kind))
-                if kind == wire.FRAME_ERROR:
-                    self.wire.observe_frame("rx", name, len(data))
-                    self._reap_processes()
-                    raise RuntimeError("service worker {} failed:\n{}".format(
-                        worker_id, payloads[0].decode("utf-8", "replace")))
-                if kind != wire.FRAME_RESULT:
-                    raise RuntimeError("unexpected {!r} frame from worker {}".format(
-                        name, worker_id))
-                self.wire.observe_frame(
-                    "rx", name, len(data), sessions=len(payloads))
-                cpu = time.process_time()
-                for payload in payloads:
-                    result = wire.decode_result(
-                        payload, self._result_kinds, self._strings)
-                    self._result_kinds.pop(result["sid"], None)
-                    self._outstanding[worker_id] -= 1
-                    results.append(result)
-                self.wire.observe_decode(time.process_time() - cpu)
-            else:
-                cpu = time.process_time()
-                msg = pickle.loads(data)
-                self.wire.observe_decode(time.process_time() - cpu)
-                if msg[0] == "error":
-                    self.wire.observe_frame("rx", "error", len(data))
-                    self._reap_processes()
-                    raise RuntimeError(
-                        "service worker {} failed:\n{}".format(worker_id, msg[1]))
-                if msg[0] != "done":
-                    raise RuntimeError(
-                        "unexpected {!r} from worker {}".format(msg[0], worker_id))
-                self.wire.observe_frame("rx", "done", len(data), sessions=1)
+            kind, payloads = wire.unpack_frame(data)
+            name = wire.FRAME_NAMES.get(kind, str(kind))
+            if kind == wire.FRAME_ERROR:
+                self.wire.observe_frame("rx", name, len(data))
+                self._reap_processes()
+                raise RuntimeError("service worker {} failed:\n{}".format(
+                    worker_id, payloads[0].decode("utf-8", "replace")))
+            if kind != wire.FRAME_RESULT:
+                raise RuntimeError("unexpected {!r} frame from worker {}".format(
+                    name, worker_id))
+            self.wire.observe_frame(
+                "rx", name, len(data), sessions=len(payloads))
+            cpu = time.process_time()
+            for payload in payloads:
+                result = wire.decode_result(
+                    payload, self._result_kinds, self._strings)
+                self._result_kinds.pop(result["sid"], None)
                 self._outstanding[worker_id] -= 1
-                results.append(msg[1])
+                results.append(result)
+            self.wire.observe_decode(time.process_time() - cpu)
         return results
 
     def _send_bytes(self, worker_id, data):
@@ -293,7 +260,7 @@ class ServicePool:
     def close(self):
         """Finalize every worker; returns their engine/obs snapshots.
 
-        Sends the protocol's ``fin`` and gathers one
+        Sends a ``fin`` frame and gathers one
         :meth:`~repro.service.core.SessionRunner.snapshot` per worker;
         idempotent-unsafe by design (a closed pool is done).  Workers
         must be drained (``inflight == 0``) first.
@@ -309,11 +276,8 @@ class ServicePool:
             return [runner.snapshot() for runner in self._runners]
         snapshots = []
         try:
+            fin = wire.pack_frame(wire.FRAME_FIN)
             for worker_id in range(self.workers):
-                if self.protocol == "binary":
-                    fin = wire.pack_frame(wire.FRAME_FIN)
-                else:
-                    fin = pickle.dumps(("fin",), protocol=pickle.HIGHEST_PROTOCOL)
                 self._send_bytes(worker_id, fin)
                 self.wire.observe_frame("tx", "fin", len(fin))
             for worker_id, conn in enumerate(self._conns):
@@ -325,25 +289,17 @@ class ServicePool:
 
     def _decode_snapshot(self, data, worker_id):
         """The ``fin`` answer — a snapshot, or a shutdown failure."""
-        if self.protocol == "binary":
-            kind, payloads = wire.unpack_frame(data)
-            name = wire.FRAME_NAMES.get(kind, str(kind))
-            self.wire.observe_frame("rx", name, len(data))
-            if kind == wire.FRAME_ERROR:
-                raise RuntimeError("worker {} failed at shutdown:\n{}".format(
-                    worker_id, payloads[0].decode("utf-8", "replace")))
-            if kind != wire.FRAME_SNAPSHOT:
-                raise RuntimeError(
-                    "unexpected {!r} frame from worker {} at shutdown".format(
-                        name, worker_id))
-            return pickle.loads(payloads[0])
-        msg = pickle.loads(data)
-        self.wire.observe_frame("rx", msg[0], len(data))
-        if msg[0] != "fin":
+        kind, payloads = wire.unpack_frame(data)
+        name = wire.FRAME_NAMES.get(kind, str(kind))
+        self.wire.observe_frame("rx", name, len(data))
+        if kind == wire.FRAME_ERROR:
+            raise RuntimeError("worker {} failed at shutdown:\n{}".format(
+                worker_id, payloads[0].decode("utf-8", "replace")))
+        if kind != wire.FRAME_SNAPSHOT:
             raise RuntimeError(
-                "worker {} failed at shutdown:\n{}".format(worker_id, msg[1])
-            )
-        return msg[1]
+                "unexpected {!r} frame from worker {} at shutdown".format(
+                    name, worker_id))
+        return pickle.loads(payloads[0])
 
     def _reap_processes(self):
         """Join/kill worker processes and close pipes (error paths too)."""

@@ -1,11 +1,11 @@
 """Batched binary wire protocol for the mediation service data plane.
 
-The original service wire path (protocol ``"v0"``) ships one pickled
-``("run", spec)`` tuple per session and gets one pickled result — every
-per-step verdict tuple, every raw latency sample — back the same way.
-Once the engine ladder made the *check* cheap, that per-session
-round-trip became the measured tax at 4–8 workers.  This module is the
-replacement data plane, three layers deep:
+The service first shipped one pickled ``("run", spec)`` tuple per
+session and got one pickled result — every per-step verdict tuple,
+every raw latency sample — back the same way.  Once the engine ladder
+made the *check* cheap, that per-session round-trip became the
+measured tax at 4–8 workers.  This module is the data plane that
+replaced it, three layers deep:
 
 **Framing** — :func:`pack_frame` / :func:`unpack_frame` build
 length-prefixed binary frames: a fixed :data:`MAGIC`/version/kind
@@ -38,13 +38,9 @@ at all — the driver still holds the spec it submitted and
 :func:`decode_result` re-derives them (``kinds_by_sid``), which is
 where most of the result bytes go.
 
-Protocol ``"v0"`` remains available end to end (``run_service(...,
-protocol="v0")``) with byte-accounted pickle transport, so the
-differential suite pins merged verdicts/audit/stats byte-identical
-across both wire paths and the benchmark reports an honest
-bytes-per-session and CPU comparison.  Frame and codec traffic is
-observable through :class:`repro.obs.service.WireCounters`
-(``pf_service_wire_*`` metric family).
+Frame and codec traffic is observable through
+:class:`repro.obs.service.WireCounters` (``pf_service_wire_*`` metric
+family).
 """
 
 from __future__ import annotations
@@ -81,13 +77,9 @@ FRAME_NAMES = {
     FRAME_ERROR: "error",
 }
 
-#: The selectable wire protocols: ``"v0"`` is the per-session pickle
-#: path the service shipped with, ``"binary"`` this module's batched
-#: binary path.  Merged results are pinned identical across the two.
-PROTOCOLS = ("v0", "binary")
-
-#: Protocol used when the caller does not choose one.
-DEFAULT_PROTOCOL = "binary"
+#: The frame format's name in a worker payload's ``wire_protocol`` key;
+#: a pool refuses a payload naming any other format.
+PROTOCOL = "binary"
 
 _HEADER = struct.Struct("<2sBBH")   # magic, version, kind, record count
 _LEN = struct.Struct("<I")          # per-record length prefix

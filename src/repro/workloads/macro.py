@@ -19,14 +19,10 @@ from repro.programs.apache import ApacheServer
 from repro.programs.ld_so import DynamicLinker
 from repro.rulesets.generated import install_full_rulebase
 from repro.vfs.file import OpenFlags
-from repro.workloads.replay import record_syscalls
 from repro.world import build_world
 
 #: Table 7 configurations.
 TABLE7_CONFIGS = ("Without PF", "PF Base", "PF Full")
-
-#: Profiles understood by :func:`record_scale_trace`.
-SCALE_PROFILES = ("mixed", "null")
 
 
 def _configure(config):
@@ -134,87 +130,6 @@ class MacrobenchSuite:
         latency_ms = elapsed / requests * 1000.0
         throughput_kbps = (body_bytes / 1024.0) / elapsed if elapsed else 0.0
         return latency_ms, throughput_kbps
-
-
-def build_scale_world(sessions=4):
-    """World for the sharded macro-replay workload.
-
-    Each of the ``sessions`` server sessions gets its own subtree under
-    ``/srv/scale/s<i>`` — sessions share no paths, so a replay sharded
-    by process lineage touches disjoint VFS state and must produce the
-    same verdict stream as a serial replay.  The parallel worker
-    rebuilds this exact world (registered as ``"macro_scale"`` in
-    ``repro.parallel.worker``) before replaying its shard.
-    """
-    kernel = build_world()
-    kernel.audit_enabled = False
-    kernel.mkdirs("/srv/scale", label="var_t")
-    for session in range(sessions):
-        base = "/srv/scale/s{}".format(session)
-        kernel.mkdirs(base, label="var_t")
-        for i in range(8):
-            kernel.add_file("{}/data{}.txt".format(base, i), b"payload", label="var_t")
-        kernel.add_file("{}/app.conf".format(base), b"option=1\n", label="etc_t")
-    return kernel
-
-
-def record_scale_trace(sessions=4, loops=40, profile="mixed"):
-    """Record the scaling workload: ``sessions`` independent lineages.
-
-    Spawns one root process per session and drives each through
-    ``loops`` iterations of session-local work, recording everything
-    (spawn specs included) into a replayable :class:`~repro.workloads.
-    replay.Trace`.  Profiles:
-
-    - ``"mixed"`` — open/read/write/stat plus periodic fork+exec
-      children and a ``chmod`` every few loops: the Table 7-shaped
-      server workload, exercising the batched fast path's mutation
-      fallback;
-    - ``"null"`` — getpid/stat/access dominated with no mutating
-      records: the null-heavy trace the CI scaling smoke job uses,
-      where per-call fixed cost dominates and batching pays most.
-
-    Sessions interleave round-robin, so a serial replay alternates
-    between lineages while a sharded one runs each lineage densely —
-    the verdict streams must still match entry-for-entry.
-    """
-    if profile not in SCALE_PROFILES:
-        raise ValueError("unknown scale profile {!r} (expected one of {})".format(
-            profile, "/".join(SCALE_PROFILES)))
-    kernel = build_scale_world(sessions)
-    with record_syscalls(kernel) as trace:
-        roots = [
-            kernel.spawn("scale{}".format(session), uid=0, label="unconfined_t",
-                         binary_path="/bin/sh")
-            for session in range(sessions)
-        ]
-        for loop in range(loops):
-            for session, proc in enumerate(roots):
-                base = "/srv/scale/s{}".format(session)
-                if profile == "null":
-                    for _ in range(4):
-                        kernel.sys.getpid(proc)
-                    kernel.sys.stat(proc, "{}/data{}.txt".format(base, loop % 8))
-                    kernel.sys.access(proc, "{}/app.conf".format(base))
-                    continue
-                fd = kernel.sys.open(proc, "{}/data{}.txt".format(base, loop % 8))
-                kernel.sys.read(proc, fd)
-                kernel.sys.close(proc, fd)
-                kernel.sys.stat(proc, "{}/app.conf".format(base))
-                out = "{}/out{}.log".format(base, loop % 4)
-                fd = kernel.sys.open(
-                    proc, out,
-                    flags=OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_APPEND)
-                kernel.sys.write(proc, fd, b"entry\n")
-                kernel.sys.close(proc, fd)
-                if loop % 5 == 0:
-                    worker = kernel.sys.fork(proc)
-                    kernel.sys.execve(worker, "/bin/sh", argv=["work"])
-                    kernel.sys.getpid(worker)
-                    kernel.sys.exit(worker, 0)
-                if loop % 7 == 0:
-                    kernel.sys.chmod(proc, "{}/app.conf".format(base), 0o640)
-    return trace
 
 
 def run_table7(build_files=60, boot_services=24, web_requests=200, repeats=3):

@@ -154,9 +154,8 @@ def record_syscalls(kernel):
     nothing, so replaying it adds noise, not state).  ``kernel.spawn``
     calls made inside the block are recorded too, as spawn specs on
     ``trace.spawns`` — the replay side reconstructs the same root
-    processes with :func:`spawn_recorded`, which is what lets a shard
-    of the trace replay inside a freshly built world in another OS
-    process.
+    processes with :func:`spawn_recorded`, which is what lets the trace
+    replay inside a freshly built world.
     """
     trace = Trace()
     original = kernel.sys
@@ -193,20 +192,16 @@ class ReplayResult:
         return len(self.failures)
 
 
-def spawn_recorded(kernel, trace, pids=None):
+def spawn_recorded(kernel, trace):
     """Spawn the trace's recorded root processes into ``kernel``.
 
     Returns a ``proc_map`` (recorded pid -> live process) ready for
-    :func:`replay`.  ``pids`` restricts spawning to a subset of the
-    recorded pids — the sharded replay driver passes each worker only
-    the roots its shard needs.  Specs are applied in recorded order, so
-    pid assignment inside the target world is deterministic.
+    :func:`replay`.  Specs are applied in recorded order, so pid
+    assignment inside the target world is deterministic.
     """
     proc_map = {}
     for spec in trace.spawns:
         recorded_pid = spec["pid"]
-        if pids is not None and recorded_pid not in pids:
-            continue
         kwargs = {key: value for key, value in spec.items() if key != "pid"}
         proc_map[recorded_pid] = kernel.spawn(**kwargs)
     return proc_map
@@ -216,9 +211,7 @@ def apply_entry(kernel, proc_map, entry):
     """Apply one recorded entry against ``kernel``; never raises.
 
     The single source of truth for replay semantics: :func:`replay`
-    and the parallel replay workers both route every entry through
-    here, so a sharded run applies *exactly* the per-entry behavior of
-    a serial one.  Returns ``(status, value)`` where status is
+    routes every entry through here.  Returns ``(status, value)`` where status is
     ``"skipped"`` (no live process for the recorded pid, or an
     untranslatable pid argument), ``"ok"``, or the symbolic errno name
     of the kernel denial; ``value`` is the syscall's return value on

@@ -1,15 +1,15 @@
-"""The Session facade: construction shapes, lifecycle, deprecations."""
+"""The Session facade: construction shapes and lifecycle."""
 
 import pytest
 
 from repro.api import WORLD_BUILDERS, Session, register_world, resolve_engine
-from repro.deprecation import reset_warned
 from repro.firewall.engine import EngineConfig
 from repro.firewall.persist import save_rules
 from repro.firewall.procstate import reset_substrate_stats, substrate_stats
 from repro.kernel import Kernel
 from repro.rulesets.default import safe_open_pf_rules
 from repro.security.selinux import reference_policy
+from repro.workloads.generators import SERVICE_ROOT
 from repro.world import build_world
 
 
@@ -71,10 +71,9 @@ def test_world_accepts_callable_and_tuple():
     direct = Session(world=lambda: Kernel(policy=reference_policy()))
     with pytest.raises(errors.ENOENT):
         direct.kernel.lookup("/etc/passwd")
-    named = Session(world=("macro_scale", {"sessions": 2}))
-    assert named.kernel.lookup("/srv/scale/s1") is not None
-    with pytest.raises(errors.ENOENT):
-        named.kernel.lookup("/srv/scale/s2")
+    named = Session(world=("service", {}))
+    assert named.kernel.lookup(SERVICE_ROOT) is not None
+    assert not named.kernel.audit_enabled
 
 
 def test_world_unknown_name_and_bad_type():
@@ -126,7 +125,7 @@ def test_metered_and_traced_flags():
 
 def test_mediate_returns_allow_drop():
     """The facade verdict vocabulary: strings out, no exceptions."""
-    from repro.parallel.batch import record_mediations
+    from repro.service.core import record_mediations
     from repro.world import ADVERSARY_UID
 
     session = Session(rules=safe_open_pf_rules())
@@ -170,32 +169,3 @@ def test_snapshot_shape():
     assert snap["live_pids"] == sorted(session.kernel.processes)
     assert isinstance(snap["metrics_prom"], str)
     assert Session().snapshot()["metrics_prom"] is None
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims
-# ---------------------------------------------------------------------------
-
-def test_log_records_deprecated():
-    reset_warned()
-    session = Session()
-    with pytest.warns(DeprecationWarning, match="log_records"):
-        session.firewall.log_records
-    # warn-once: a second touch is silent
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        session.firewall.log_records
-
-
-def test_process_pf_views_deprecated():
-    reset_warned()
-    session = Session()
-    proc = session.spawn("sh", binary_path="/bin/sh")
-    with pytest.warns(DeprecationWarning, match="proc.pf.state"):
-        proc.pf_state
-    with pytest.warns(DeprecationWarning, match="proc.pf.context_cache"):
-        proc.pf_context_cache
-    with pytest.warns(DeprecationWarning, match="proc.pf.decision_cache"):
-        proc.pf_decision_cache
-    assert proc.pf_state is proc.pf.state

@@ -85,24 +85,39 @@ class TestModules:
         assert entries[0] == ("/usr/bin/apache2", 0x200)
         assert entries[1] == ("/usr/bin/apache2", 0x100)
 
-    def test_entrypoint_skips_forged_frames(self, world, proc):
+    @pytest.mark.parametrize("valid_below", [(), (0x100, 0x200)])
+    def test_entrypoint_skips_forged_frames(self, world, proc, valid_below):
+        """A forged head frame is skipped; valid frames beneath it are
+        still reported, innermost first."""
+        for offset in valid_below:
+            proc.call(proc.binary, offset)
         proc.stack.push(0xDEAD)  # no image
         op = file_operation(world, proc)
-        assert CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world) == ()
+        expected = tuple(("/usr/bin/apache2", offset) for offset in reversed(valid_below))
+        assert CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world) == expected
 
-    def test_entrypoint_corrupt_stack_graceful(self, world, proc):
-        """§4.4: a corrupted stack yields empty context, not a crash."""
-        proc.call(proc.binary, 0x100)
-        proc.stack.corrupt_below = 0
+    @pytest.mark.parametrize("corrupt_below", [0, 1, 2])
+    def test_entrypoint_corrupt_stack_graceful(self, world, proc, corrupt_below):
+        """§4.4: a corrupted stack yields empty context, not a crash —
+        at any depth, even below a valid head frame: frames recovered
+        above the corruption are discarded, not reported."""
+        for offset in (0x100, 0x200, 0x300):
+            proc.call(proc.binary, offset)
+        proc.stack.corrupt_below = corrupt_below
         op = file_operation(world, proc)
         assert CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world) == ()
 
-    def test_entrypoint_infinite_stack_bounded(self, world, proc):
-        proc.call(proc.binary, 0x100)
+    @pytest.mark.parametrize("offsets", [(0x100,), (0x100, 0x200, 0x300)])
+    def test_entrypoint_infinite_stack_bounded(self, world, proc, offsets):
+        """A looping unwind is capped, and the innermost frame still
+        comes first."""
+        for offset in offsets:
+            proc.call(proc.binary, offset)
         proc.stack.infinite = True
         op = file_operation(world, proc)
         entries = CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world)
         assert len(entries) <= proc.stack.MAX_UNWIND_FRAMES
+        assert entries[0] == ("/usr/bin/apache2", offsets[-1])
 
     def test_adversary_writable(self, world, proc):
         world.add_file("/tmp/loose", mode=0o666)

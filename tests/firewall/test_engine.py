@@ -137,7 +137,7 @@ class TestStateAndLog:
         )
         root = spawn_root_shell(world)
         inode = world.sys.bind(root, "/tmp/sock")
-        assert root.pf_state[0xBEEF] == inode.ino
+        assert root.pf.state[0xBEEF] == inode.ino
         world.sys.chmod(root, "/tmp/sock", 0o666)  # same inode: allowed
 
     def test_log_target_records_context(self):
@@ -145,7 +145,7 @@ class TestStateAndLog:
         root = spawn_root_shell(world)
         root.call(root.binary, 0x42)
         world.sys.open(root, "/etc/passwd")
-        record = pf.log_records[-1]
+        record = pf.audit.records(kind="log")[-1]
         assert record["prefix"] == "trace"
         assert record["op"] == "FILE_OPEN"
         assert record["object_label"] == "etc_t"
@@ -337,9 +337,9 @@ class TestDecisionCache:
         )
         for _ in range(2):
             world.sys.stat(root, "/etc/passwd")
-        assert root.pf_decision_cache is not None
+        assert root.pf.decision_cache is not None
         world.sys.bind(root, "/tmp/sock")  # STATE target fires
-        assert root.pf_decision_cache is None
+        assert root.pf.decision_cache is None
 
     def test_matched_rules_never_memoized(self):
         # A LOG rule matches every FILE_OPEN: each open must emit a
@@ -349,29 +349,29 @@ class TestDecisionCache:
         )
         for _ in range(4):
             world.sys.open(root, "/etc/passwd")
-        assert len([r for r in pf.log_records if r["prefix"] == "t"]) == 4
+        assert len([r for r in pf.audit.records(kind="log") if r["prefix"] == "t"]) == 4
 
     def test_fork_inherits_and_execve_clears(self):
         world, pf, root = self._world()
         for _ in range(2):
             world.sys.stat(root, "/etc/passwd")
-        assert root.pf_decision_cache is not None
+        assert root.pf.decision_cache is not None
         child = world.sys.fork(root)
-        assert child.pf_decision_cache is not None
+        assert child.pf.decision_cache is not None
         # CoW contract: the entries are structurally shared right after
         # fork (O(1) inheritance) ...
-        assert child.pf_decision_cache[1] is root.pf_decision_cache[1]
-        before = {k: set(v) if v is not True else True for k, v in root.pf_decision_cache[1].items()}
+        assert child.pf.decision_cache[1] is root.pf.decision_cache[1]
+        before = {k: set(v) if v is not True else True for k, v in root.pf.decision_cache[1].items()}
         # ... and the first memoization on either side breaks the share:
         # the child warming a new entrypoint head must not leak into
         # the parent.
         child.call(child.binary, 0x1)
         world.sys.stat(child, "/etc/passwd")
-        assert child.pf_decision_cache[1] is not root.pf_decision_cache[1]
-        assert root.pf_decision_cache[1] == before
+        assert child.pf.decision_cache[1] is not root.pf.decision_cache[1]
+        assert root.pf.decision_cache[1] == before
         world.sys.execve(child, "/bin/sh")
-        assert child.pf_decision_cache is None
-        assert root.pf_decision_cache is not None
+        assert child.pf.decision_cache is None
+        assert root.pf.decision_cache is not None
 
     def test_flush_invalidates_via_stamp(self):
         world, pf, root = self._world()
@@ -443,13 +443,20 @@ class TestMaliciousProcesses:
         with pytest.raises(errors.PFDenied):
             world.sys.open(honest, "/etc/passwd")
 
-    def test_corrupted_stack_graceful(self):
+    @pytest.mark.parametrize("corrupt_below", [0, 1])
+    def test_corrupted_stack_graceful(self, corrupt_below):
+        """A corrupted frame anywhere in the stack — the head itself,
+        or one frame below a valid head — leaves no entrypoint, so an
+        ``-i <head>`` rule cannot fire."""
         world, pf = make_world(
             rules=["pftables -A input -i 0x2d637 -p /bin/sh -o FILE_OPEN -d etc_t -j DROP"]
         )
         victim = spawn_root_shell(world)
+        victim.call(victim.binary, 0x1000)
         victim.call(victim.binary, 0x2D637)
-        victim.stack.corrupt_below = 0
+        with pytest.raises(errors.PFDenied):
+            world.sys.open(victim, "/etc/passwd")  # intact stack: the rule fires
+        victim.stack.corrupt_below = corrupt_below
         world.sys.open(victim, "/etc/passwd")  # unwind aborts: no match
 
     def test_flush_resets_everything(self):

@@ -45,7 +45,7 @@ class TestVerdictsAfterFlush:
             fd = world.sys.open(shell, "/etc/passwd")
             world.sys.close(shell, fd)
         assert firewall.stats.decision_cache_hits > 0
-        assert shell.pf_decision_cache is not None
+        assert shell.pf.decision_cache is not None
         firewall.flush()
         # Stricter rules: the same access must now be denied even
         # though the process still carries the old cache tuple.
@@ -79,9 +79,9 @@ class TestHistoryAfterFlush:
         tracer = firewall.enable_tracing()
         with pytest.raises(errors.PFDenied):
             world.sys.open(shell, "/etc/shadow")
-        assert firewall.log_records and firewall.metrics.counters() and len(tracer)
+        assert firewall.audit.records(kind="log") and firewall.metrics.counters() and len(tracer)
         firewall.flush()
-        assert firewall.log_records == []
+        assert firewall.audit.records(kind="log") == []
         assert len(firewall.audit) == 0
         assert firewall.metrics.counters() == []
         assert firewall.metrics.phases() == {}

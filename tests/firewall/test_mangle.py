@@ -53,13 +53,13 @@ class TestMangleSemantics:
         )
         root = spawn_root_shell(world)
         world.sys.open(root, "/etc/passwd")
-        assert "mark" not in root.pf_state
+        assert "mark" not in root.pf.state
 
     def test_mangle_log_collects(self, world, firewall):
         firewall.install("pftables -t mangle -A input -o FILE_OPEN -j LOG --prefix mg")
         root = spawn_root_shell(world)
         world.sys.open(root, "/etc/passwd")
-        assert any(r["prefix"] == "mg" for r in firewall.log_records)
+        assert any(r["prefix"] == "mg" for r in firewall.audit.records(kind="log"))
 
     def test_mangle_alone_never_denies(self, world, firewall):
         firewall.install(

@@ -127,16 +127,16 @@ class TestStateMatch:
         assert not match_ne.matches(engine, operation(world, proc), ContextFrame())
 
     def test_equal(self, engine, world, proc):
-        proc.pf_state["k"] = 1
+        proc.pf.state["k"] = 1
         assert mm.StateMatch("k", 1).matches(engine, operation(world, proc), ContextFrame())
         assert not mm.StateMatch("k", 2).matches(engine, operation(world, proc), ContextFrame())
 
     def test_nequal_against_atom(self, engine, world, proc):
         op = operation(world, proc)
-        proc.pf_state[0xBEEF] = world.lookup("/etc/passwd").ino
+        proc.pf.state[0xBEEF] = world.lookup("/etc/passwd").ino
         match = mm.StateMatch("0xbeef", "C_INO", equal=False)
         assert not match.matches(engine, op, ContextFrame())
-        proc.pf_state[0xBEEF] = 999999
+        proc.pf.state[0xBEEF] = 999999
         assert match.matches(engine, op, ContextFrame())
 
 

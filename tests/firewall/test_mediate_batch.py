@@ -3,7 +3,7 @@
 The byte-identity contract itself is hammered by the randomized
 differential suite (``tests/integration/test_differential_batch.py``);
 these tests pin the mechanics: which records bulk, which fall back,
-and the stats/preset/serialization helpers the parallel driver uses.
+and the stats/preset/serialization helpers around the engine.
 """
 
 import pytest
@@ -15,13 +15,10 @@ from repro.firewall.engine import (
     record_mutates,
 )
 from repro.rulesets.generated import install_full_rulebase
-from repro.parallel.batch import (
-    record_mediations,
-    replay_mediations,
-    reset_mediation_state,
-)
+from repro.service.core import record_mediations
 from repro.world import build_world, spawn_root_shell
 from repro.vfs.file import OpenFlags
+from tests.mediation_replay import replay_mediations, reset_mediation_state
 
 
 def _world(config=None):
@@ -42,7 +39,7 @@ def _capture(kernel, firewall, workload):
 def _observables(firewall):
     return (
         firewall.stats.as_dict(),
-        [dict(r) for r in firewall.log_records],
+        [dict(r) for r in firewall.audit.records(kind="log")],
         [e.record for e in firewall.audit.entries(kind="drop")],
     )
 
@@ -84,17 +81,26 @@ def test_disabled_engine_allows_everything_without_counting():
     assert firewall.stats.invocations == 0
 
 
-def test_homogeneous_run_is_bulked_and_identical():
+#: Records of a homogeneous run that ``mediate_batch`` routes through
+#: ``mediate()``: the first walks the rules and fills the decision
+#: cache, the second hits it, and the rest of the syscall group repeats
+#: that hit without a call.  The count does not grow with the batch.
+BULK_PATH_MEDIATE_CALLS = 2
+
+
+@pytest.mark.parametrize("length", [50, 1500])
+def test_homogeneous_run_is_bulked_and_identical(length):
     kernel, firewall, root = _world()
     operations = _capture(
         kernel, firewall, lambda k: k.sys.stat(root, "/etc/passwd"))
     getattr_op = next(op for op in operations if op.op.value == "FILE_GETATTR")
-    batch = [getattr_op] * 50
+    batch = [getattr_op] * length
     _differential(firewall, batch)
-    # The bulk path must actually fire: only the first record (plus
-    # any warmup misses) goes through mediate().
+    # The bulk path must actually fire, at a cost independent of the
+    # batch length: the same few records go through mediate() whether
+    # the run is 50 or 1,500 long.
     reset_mediation_state(firewall)
-    assert _count_mediate_calls(firewall, batch) < len(batch)
+    assert _count_mediate_calls(firewall, batch) == BULK_PATH_MEDIATE_CALLS
 
 
 def test_mutating_records_split_runs_and_fall_back():

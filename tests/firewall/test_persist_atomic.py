@@ -48,7 +48,7 @@ def _loaded_firewall():
     world.sys.stat(root, "/etc/passwd")
     with pytest.raises(errors.PFDenied):
         world.sys.open(root, "/etc/shadow")
-    assert pf.stats.drops == 1 and pf.log_records
+    assert pf.stats.drops == 1 and pf.audit.records(kind="log")
     return world, pf, root
 
 
@@ -59,12 +59,12 @@ class TestAtomicRestore:
         world, pf, root = _loaded_firewall()
         before_rules = save_rules(pf)
         before_stats = (pf.stats.invocations, pf.stats.drops, pf.stats.accepts)
-        before_logs = list(pf.log_records)
+        before_logs = list(pf.audit.records(kind="log"))
         with pytest.raises(errors.EINVAL):
             load_rules(pf, payload, flush=flush)
         assert save_rules(pf) == before_rules
         assert (pf.stats.invocations, pf.stats.drops, pf.stats.accepts) == before_stats
-        assert pf.log_records == before_logs
+        assert pf.audit.records(kind="log") == before_logs
         # The surviving base still enforces.
         with pytest.raises(errors.PFDenied):
             world.sys.open(root, "/etc/shadow")
@@ -73,14 +73,14 @@ class TestAtomicRestore:
         world, pf, root = _loaded_firewall()
         stats = pf.stats
         audit = pf.audit
-        logs = list(pf.log_records)
+        logs = list(pf.audit.records(kind="log"))
         drops = stats.drops
         load_rules(pf, save_rules(pf))
         # A restore replaces policy, not history: same stats object,
         # same audit ring, same counters, same records.
         assert pf.stats is stats and pf.stats.drops == drops
         assert pf.audit is audit
-        assert pf.log_records == logs
+        assert pf.audit.records(kind="log") == logs
         with pytest.raises(errors.PFDenied):
             world.sys.open(root, "/etc/shadow")
 

@@ -1,21 +1,54 @@
 """Rule-base transport across a real ``multiprocessing`` spawn boundary.
 
-The parallel replay driver ships rules to workers as ``save_rules``
-text; a pickled ``RuleBase`` must survive the same trip (it is what a
-worker's snapshot ultimately derives from).  Both transports are
+The service pool ships rules to workers as ``save_rules`` text; a
+pickled ``RuleBase`` must survive the same trip.  Both transports are
 probed with an actual spawned child process — not a fork — because
-spawn re-imports everything and is the context the driver uses.
+spawn re-imports everything and is the context the pool uses.  The
+child re-imports this module by name, which works because spawned
+children inherit the parent's ``sys.path``.
 """
 
 import multiprocessing
 import pickle
+import traceback
 
 import pytest
 
+from repro.api import resolve_engine
 from repro.firewall.engine import EngineConfig, ProcessFirewall
-from repro.firewall.persist import save_rules
-from repro.parallel.worker import describe_rules_in_child
+from repro.firewall.persist import load_rules, save_rules
 from repro.rulesets.generated import install_full_rulebase
+
+
+def describe_rules_in_child(conn, payload):
+    """Spawn-boundary probe: rebuild a firewall and report what it sees.
+
+    Reconstructs a firewall in the child from ``payload`` — either
+    ``pickled_rules`` (a pickled ``RuleBase``) or ``rules_text``
+    (``save_rules`` output) — and reports the rule-base stamp,
+    per-table chain order with rendered rule text, the re-serialized
+    ``save_rules`` text, and whether JIT codegen rebuilds cleanly
+    against the transported rules.
+    """
+    try:
+        firewall = ProcessFirewall(resolve_engine(payload.get("config", "JITTED")))
+        if payload.get("pickled_rules") is not None:
+            firewall.rules = pickle.loads(payload["pickled_rules"])
+        else:
+            load_rules(firewall, payload["rules_text"])
+        jit = firewall.jit_program()
+        result = ("ok", {
+            "stamp": tuple(firewall.rules.stamp),
+            "chains": _expected_chains(firewall),
+            "rules_text": save_rules(firewall),
+            "jit_rebuilt": jit is not None and jit.stamp is firewall.rules.stamp,
+        })
+    except BaseException:
+        result = ("error", traceback.format_exc())
+    try:
+        conn.send(result)
+    finally:
+        conn.close()
 
 
 def _reference_firewall():
@@ -87,8 +120,6 @@ def test_text_round_trip_is_stable_in_parent():
     firewall = _reference_firewall()
     text = save_rules(firewall)
     other = ProcessFirewall(EngineConfig.jitted())
-    from repro.firewall.persist import load_rules
-
     load_rules(other, text)
     assert save_rules(other) == text
     assert _expected_chains(other) == _expected_chains(firewall)

@@ -50,12 +50,12 @@ class TestStateTarget:
         target = tg.StateTarget("'sig'", "1")
         verdict, _ = target.execute(engine, op(world, proc), ContextFrame())
         assert verdict == tg.CONTINUE
-        assert proc.pf_state["sig"] == 1
+        assert proc.pf.state["sig"] == 1
 
     def test_sets_atom_value(self, engine, world, proc):
         target = tg.StateTarget("0xbeef", "C_INO")
         target.execute(engine, op(world, proc), ContextFrame())
-        assert proc.pf_state[0xBEEF] == world.lookup("/etc/passwd").ino
+        assert proc.pf.state[0xBEEF] == world.lookup("/etc/passwd").ino
 
     def test_required_fields_cover_atoms(self):
         from repro.firewall.context import ContextField
@@ -66,7 +66,7 @@ class TestStateTarget:
     def test_overwrites(self, engine, world, proc):
         tg.StateTarget("k", "1").execute(engine, op(world, proc), ContextFrame())
         tg.StateTarget("k", "2").execute(engine, op(world, proc), ContextFrame())
-        assert proc.pf_state["k"] == 2
+        assert proc.pf.state["k"] == 2
 
 
 class TestLogTarget:
@@ -75,7 +75,7 @@ class TestLogTarget:
         target = tg.LogTarget(prefix="x")
         verdict, _ = target.execute(engine, op(world, proc), ContextFrame())
         assert verdict == tg.CONTINUE
-        record = engine.log_records[-1]
+        record = engine.audit.records(kind="log")[-1]
         for key in ("pid", "comm", "program", "entrypoint", "op", "object_label", "resource_id",
                     "adv_writable", "adv_readable", "path", "time", "prefix"):
             assert key in record
@@ -84,7 +84,7 @@ class TestLogTarget:
         import json
 
         tg.LogTarget().execute(engine, op(world, proc), ContextFrame())
-        assert json.dumps(engine.log_records[-1])
+        assert json.dumps(engine.audit.records(kind="log")[-1])
 
 
 class TestJumpTarget:

@@ -36,12 +36,12 @@ def _scenario_observables(scenario_cls, config):
     out["attack"] = (result.succeeded, result.blocked, result.denied)
     stats = scenario.firewall.stats
     out["attack_stats"] = (stats.invocations, stats.accepts, stats.drops)
-    out["attack_logs"] = _strip_time(scenario.firewall.log_records)
+    out["attack_logs"] = _strip_time(scenario.firewall.audit.records(kind="log"))
     benign = scenario_cls()
     out["benign"] = benign.run_benign(with_firewall=True)
     benign_stats = benign.firewall.stats
     out["benign_stats"] = (benign_stats.invocations, benign_stats.accepts, benign_stats.drops)
-    out["benign_logs"] = _strip_time(benign.firewall.log_records)
+    out["benign_logs"] = _strip_time(benign.firewall.audit.records(kind="log"))
     return out
 
 
@@ -92,7 +92,7 @@ def _replay_observables(trace, recorded_pid, config):
         "executed": result.executed,
         "failures": [(method, errno) for _index, method, errno in result.failures],
         "stats": (firewall.stats.invocations, firewall.stats.accepts, firewall.stats.drops),
-        "logs": _strip_time(firewall.log_records),
+        "logs": _strip_time(firewall.audit.records(kind="log")),
     }
 
 

@@ -87,14 +87,14 @@ def _scenario_observables(scenario_cls, mode):
     out["attack"] = (result.succeeded, result.blocked, result.denied)
     stats = scenario.firewall.stats
     out["attack_stats"] = (stats.invocations, stats.accepts, stats.drops)
-    out["attack_logs"] = _strip_time(scenario.firewall.log_records)
+    out["attack_logs"] = _strip_time(scenario.firewall.audit.records(kind="log"))
     benign = scenario_cls()
     benign.build(True, config=EngineConfig.compiled(), instrument=set_mode)
     _interpose_fork_exec(benign.kernel)
     out["benign"] = bool(benign._benign())
     benign_stats = benign.firewall.stats
     out["benign_stats"] = (benign_stats.invocations, benign_stats.accepts, benign_stats.drops)
-    out["benign_logs"] = _strip_time(benign.firewall.log_records)
+    out["benign_logs"] = _strip_time(benign.firewall.audit.records(kind="log"))
     return out
 
 
@@ -166,7 +166,7 @@ def _replay_observables(trace, recorded_pid, mode):
         "executed": result.executed,
         "failures": [(method, errno) for _index, method, errno in result.failures],
         "stats": (firewall.stats.invocations, firewall.stats.accepts, firewall.stats.drops),
-        "logs": _strip_time(firewall.log_records),
+        "logs": _strip_time(firewall.audit.records(kind="log")),
     }
 
 
@@ -190,18 +190,18 @@ def test_decision_caches_share_then_diverge():
     shell = spawn_root_shell(world)
     for _ in range(3):
         world.sys.stat(shell, "/etc/passwd")
-    assert shell.pf_decision_cache is not None
+    assert shell.pf.decision_cache is not None
     child = world.sys.fork(shell)
-    assert child.pf_decision_cache[1] is shell.pf_decision_cache[1]
+    assert child.pf.decision_cache[1] is shell.pf.decision_cache[1]
     child.call(child.binary, 0x51)
     world.sys.stat(child, "/etc/passwd")
-    assert child.pf_decision_cache[1] is not shell.pf_decision_cache[1]
+    assert child.pf.decision_cache[1] is not shell.pf.decision_cache[1]
     shell.call(shell.binary, 0x52)
     world.sys.stat(shell, "/etc/passwd")
 
     def heads(proc):
         return {
-            h for v in proc.pf_decision_cache[1].values() if v is not True for h in v
+            h for v in proc.pf.decision_cache[1].values() if v is not True for h in v
         }
 
     # Each side memoized its own head into its own private entries.

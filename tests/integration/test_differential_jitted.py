@@ -62,11 +62,11 @@ def _scenario_observables(scenario_cls, config, stats_fn):
     result = scenario.run(with_firewall=True, config=config())
     out["attack"] = (result.succeeded, result.blocked, result.denied)
     out["attack_stats"] = stats_fn(scenario.firewall.stats)
-    out["attack_logs"] = _strip_time(scenario.firewall.log_records)
+    out["attack_logs"] = _strip_time(scenario.firewall.audit.records(kind="log"))
     benign = scenario_cls()
     out["benign"] = benign.run_benign(with_firewall=True, config=config())
     out["benign_stats"] = stats_fn(benign.firewall.stats)
-    out["benign_logs"] = _strip_time(benign.firewall.log_records)
+    out["benign_logs"] = _strip_time(benign.firewall.audit.records(kind="log"))
     return out
 
 
@@ -124,7 +124,7 @@ def _replay_observables(trace, recorded_pid, config, stats_fn):
         "executed": result.executed,
         "failures": [(method, errno) for _i, method, errno in result.failures],
         "stats": stats_fn(firewall.stats),
-        "logs": _strip_time(firewall.log_records),
+        "logs": _strip_time(firewall.audit.records(kind="log")),
     }, firewall
 
 
@@ -214,7 +214,7 @@ def _verdict_stream(rules, config):
                     stream.append((syscall, path, "drop"))
                 except errors.KernelError as exc:
                     stream.append((syscall, path, type(exc).__name__))
-    return stream, _pinned_stats(firewall.stats), _strip_time(firewall.log_records)
+    return stream, _pinned_stats(firewall.stats), _strip_time(firewall.audit.records(kind="log"))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -52,13 +52,13 @@ def _scenario_observables(scenario_cls, config, instrument):
     result = scenario.run(with_firewall=True, config=config(), instrument=instrument)
     out["attack"] = (result.succeeded, result.blocked, result.denied, result.detail)
     out["attack_stats"] = _stats_tuple(scenario.firewall.stats)
-    out["attack_logs"] = _strip_time(scenario.firewall.log_records)
+    out["attack_logs"] = _strip_time(scenario.firewall.audit.records(kind="log"))
     out["attack_drops"] = _strip_time(scenario.firewall.audit.records(kind="drop"))
     benign = scenario_cls()
     out["benign"] = benign.run_benign(with_firewall=True, config=config(),
                                       instrument=instrument)
     out["benign_stats"] = _stats_tuple(benign.firewall.stats)
-    out["benign_logs"] = _strip_time(benign.firewall.log_records)
+    out["benign_logs"] = _strip_time(benign.firewall.audit.records(kind="log"))
     return out
 
 
@@ -146,7 +146,7 @@ def _replay_observables(trace, recorded_pid, instrument):
         "executed": result.executed,
         "failures": [(method, errno) for _i, method, errno in result.failures],
         "stats": _stats_tuple(firewall.stats),
-        "logs": _strip_time(firewall.log_records),
+        "logs": _strip_time(firewall.audit.records(kind="log")),
     }
 
 

@@ -96,7 +96,7 @@ class TestLogRecordsView:
         world, firewall, shell = _shadow_world()
         fd = world.sys.open(shell, "/etc/shadow")
         world.sys.close(shell, fd)
-        records = firewall.log_records
+        records = firewall.audit.records(kind="log")
         assert isinstance(records, list) and len(records) == 1
         assert records[0]["prefix"] == "shadow"
         json.dumps(records)  # rulegen consumes this via json.dumps
@@ -107,7 +107,7 @@ class TestLogRecordsView:
         with pytest.raises(errors.PFDenied):
             world.sys.open(shell, "/etc/shadow")
         # One LOG record; the drop notification lives on its own channel.
-        assert len(firewall.log_records) == 1
+        assert len(firewall.audit.records(kind="log")) == 1
         drops = firewall.audit.records(kind="drop")
         assert len(drops) == 1
         assert drops[0]["path"] == "/etc/shadow"
@@ -145,5 +145,5 @@ class TestForkExecInteraction:
         # Records from before and after fork/execve accumulate in the
         # same ring; execve resets per-process firewall state, never
         # the audit history.
-        assert len(firewall.log_records) == 2
+        assert len(firewall.audit.records(kind="log")) == 2
         assert firewall.audit.evicted == 0

@@ -1,6 +1,6 @@
-"""MetricsRegistry.merge()/snapshot(): the sharded-run combination path.
+"""MetricsRegistry.merge()/snapshot(): the multi-worker combination path.
 
-The property the parallel replay driver leans on: merging per-shard
+The property the service driver leans on: merging per-worker
 registries — any split, any order, any grouping — must equal the one
 registry that counted everything serially.
 """
@@ -94,7 +94,7 @@ def test_snapshot_is_detached():
 
 
 def test_merge_round_trips_through_prometheus_text():
-    """The driver ships shard metrics as Prometheus text; parse+merge
+    """Workers ship their metrics as Prometheus text; parse+merge
     must lose nothing versus merging the live registries."""
     a = MetricsRegistry()
     a.inc("pf_verdicts_total", {"verdict": "allow"}, value=7)

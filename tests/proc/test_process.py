@@ -75,5 +75,5 @@ class TestImages:
     def test_pf_state_is_per_process(self):
         a = Process(1, "a")
         b = Process(2, "b")
-        a.pf_state["k"] = 1
-        assert "k" not in b.pf_state
+        a.pf.state["k"] = 1
+        assert "k" not in b.pf.state

@@ -93,6 +93,6 @@ class TestAuthentication:
         pf.install("pftables -A input -o FILE_OPEN -j LOG")
         server.serve("/index.html")
         server.authenticate("root", "x")
-        epts = [tuple(r["entrypoint"]) for r in pf.log_records if r["entrypoint"]]
+        epts = [tuple(r["entrypoint"]) for r in pf.audit.records(kind="log") if r["entrypoint"]]
         assert ("/usr/bin/apache2", EPT_SERVE_OPEN) in epts
         assert ("/usr/bin/apache2", EPT_AUTH_OPEN) in epts

@@ -63,7 +63,7 @@ class TestLibDbusClient:
         pf.install("pftables -A input -o UNIX_STREAM_SOCKET_CONNECT -j LOG")
         client_proc = world.spawn("app", uid=0, label="unconfined_t", binary_path="/bin/sh")
         LibDbusClient(world, client_proc).connect()
-        record = [r for r in pf.log_records if r["op"] == "UNIX_STREAM_SOCKET_CONNECT"][-1]
+        record = [r for r in pf.audit.records(kind="log") if r["op"] == "UNIX_STREAM_SOCKET_CONNECT"][-1]
         assert tuple(record["entrypoint"]) == (LIBDBUS_PATH, EPT_CONNECT)
 
 

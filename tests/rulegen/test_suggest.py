@@ -145,4 +145,4 @@ class TestScriptRuleSuggestion:
         pf.install("pftables -A input -o FILE_OPEN -j LOG")
         root = spawn_root_shell(world)
         world.sys.open(root, "/etc/passwd")
-        assert "script" not in pf.log_records[-1]
+        assert "script" not in pf.audit.records(kind="log")[-1]

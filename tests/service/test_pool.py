@@ -89,3 +89,12 @@ def test_dead_worker_surfaces_as_runtime_error(init):
         # dead pipe raises the same shape from the send side.
         pool.submit(generate_stream(2, seed=12)[1])
         pool.poll(timeout=30)
+
+
+def test_other_wire_protocol_is_a_frame_format_mismatch(init):
+    """Workers speak one frame format; a payload naming another is
+    refused before any worker starts."""
+    with pytest.raises(ValueError, match="wire protocol"):
+        ServicePool(1, dict(init, wire_protocol="pickle"), processes=False)
+    pool = ServicePool(1, dict(init, wire_protocol="binary"), processes=False)
+    pool.close()

@@ -82,7 +82,7 @@ def test_spec_codec_is_lossless_and_compact(stream, codec):
     encoded = [codec.encode(spec) for spec in stream]
     assert [codec.decode(record) for record in encoded] == stream
     # The generated stream interns completely: no whole-spec escapes,
-    # and far fewer bytes than the v0 pickles.
+    # and far fewer bytes than pickling each ("run", spec).
     assert not any(record[0] == 0xFF for record in encoded)
     pickled = sum(
         len(pickle.dumps(("run", spec), protocol=pickle.HIGHEST_PROTOCOL))

@@ -92,7 +92,7 @@ class TestFtruncate:
         world.add_file("/tmp/f", b"x")
         fd = sys.open(root, "/tmp/f", flags=OpenFlags.O_RDWR)
         sys.ftruncate(root, fd, 0)
-        assert any(r["op"] == "FILE_SETATTR" for r in firewall.log_records)
+        assert any(r["op"] == "FILE_SETATTR" for r in firewall.audit.records(kind="log"))
 
 
 class TestUmaskAndFifo:

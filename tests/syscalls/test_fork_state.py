@@ -2,7 +2,7 @@
 
 The two bugs this file pins:
 
-- ``fork()`` used to drop ``proc.pf_state`` entirely, so a STATE
+- ``fork()`` used to drop ``proc.pf.state`` entirely, so a STATE
   invariant recorded by the parent (the TOCTTOU template's check
   identity) silently stopped protecting forked workers — the missing
   key never matches, which reads as an allow;
@@ -95,18 +95,18 @@ class TestDecisionCacheDivergence:
         proc = spawn_root_shell(kernel)
         for _ in range(2):
             kernel.sys.stat(proc, "/etc/passwd")
-        assert proc.pf_decision_cache is not None
+        assert proc.pf.decision_cache is not None
         return kernel, proc
 
     def test_parent_and_child_caches_diverge_independently(self):
         kernel, parent = self._warm_world()
         child = kernel.sys.fork(parent)
-        assert child.pf_decision_cache[1] is parent.pf_decision_cache[1]
+        assert child.pf.decision_cache[1] is parent.pf.decision_cache[1]
         # Child memoizes a new entrypoint head: its cache forks off.
         child.call(child.binary, 0x1)
         kernel.sys.stat(child, "/etc/passwd")
-        child_entries = child.pf_decision_cache[1]
-        parent_entries = parent.pf_decision_cache[1]
+        child_entries = child.pf.decision_cache[1]
+        parent_entries = parent.pf.decision_cache[1]
         assert child_entries is not parent_entries
         child_heads = next(v for v in child_entries.values() if v is not True)
         parent_heads = next(v for v in parent_entries.values() if v is not True)
@@ -117,7 +117,7 @@ class TestDecisionCacheDivergence:
         parent.call(parent.binary, 0x2)
         kernel.sys.stat(parent, "/etc/passwd")
         assert ("/bin/sh", 0x2) in parent_heads or ("/bin/sh", 0x2) in next(
-            v for v in parent.pf_decision_cache[1].values() if v is not True
+            v for v in parent.pf.decision_cache[1].values() if v is not True
         )
         assert ("/bin/sh", 0x2) not in child_heads
 
@@ -125,8 +125,8 @@ class TestDecisionCacheDivergence:
         kernel, parent = self._warm_world()
         child = kernel.sys.fork(parent)
         kernel.sys.bind(child, "/tmp/c.sock")  # STATE target fires in child
-        assert child.pf_decision_cache is None
-        assert parent.pf_decision_cache is not None
+        assert child.pf.decision_cache is None
+        assert parent.pf.decision_cache is not None
 
 
 class TestExecvePendingSignals:

@@ -52,10 +52,10 @@ class TestExecve:
 
     def test_execve_clears_stack_and_state(self, world, root, sys):
         root.stack.push(0x1)
-        root.pf_state["key"] = 1
+        root.pf.state["key"] = 1
         sys.execve(root, "/bin/sh")
         assert root.stack.depth == 0
-        assert root.pf_state == {}
+        assert root.pf.state == {}
 
     def test_execve_setuid_binary_raises_euid(self, world, adversary, sys):
         world.add_file("/usr/bin/sudo-like", b"\x7fELF", uid=0, mode=0o4755, label="bin_t")

@@ -54,10 +54,10 @@ class TestSocketChmod:
         sys.bind(root, "/tmp/sock")
         firewall.install("pftables -A input -o SOCKET_SETATTR -j LOG")
         sys.chmod(root, "/tmp/sock", 0o666)
-        assert any(r["op"] == "SOCKET_SETATTR" for r in firewall.log_records)
+        assert any(r["op"] == "SOCKET_SETATTR" for r in firewall.audit.records(kind="log"))
 
     def test_chmod_file_uses_file_setattr(self, world, root, sys, firewall):
         world.add_file("/tmp/f", uid=0)
         firewall.install("pftables -A input -o FILE_SETATTR -j LOG")
         sys.chmod(root, "/tmp/f", 0o644)
-        assert any(r["op"] == "FILE_SETATTR" for r in firewall.log_records)
+        assert any(r["op"] == "FILE_SETATTR" for r in firewall.audit.records(kind="log"))

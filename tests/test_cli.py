@@ -201,7 +201,6 @@ class TestEngineFlag:
     @pytest.mark.parametrize("verb,engine", [
         ("serve", "TABLED"),
         ("bench-service", "bogus"),
-        ("bench-scale", "bogus"),
     ])
     def test_unknown_preset_is_a_usage_error(self, verb, engine, capsys):
         with pytest.raises(SystemExit) as exc:

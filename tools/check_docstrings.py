@@ -36,13 +36,8 @@ CHECKED_MODULES = [
     "repro.firewall.procstate",
     "repro.workloads.forkscale",
     "repro.parallel",
-    "repro.parallel.shard",
-    "repro.parallel.worker",
     "repro.parallel.merge",
-    "repro.parallel.driver",
-    "repro.parallel.batch",
     "repro.api",
-    "repro.deprecation",
     "repro.obs.service",
     "repro.service",
     "repro.service.core",
