@@ -21,25 +21,16 @@ need steady-state numbers to be meaningful.  ``test_jitted_perf_smoke``
 is the CI perf gate: a quick COMPILED-vs-JITTED run (iteration budget
 ``PF_PERF_SMOKE_ITERS``) that fails when JITTED regresses beyond
 tolerance on the ``null``/``read``/``stat`` rows.
-
-The grid also writes ``benchmarks/BENCH_hotpath.json`` — the committed
-perf-trajectory artifact comparing EPTSPC, COMPILED and JITTED
-per syscall row, with per-row standard deviations as error bars.
 """
 
-import json
 import os
-import platform
-import statistics
 
 import pytest
 
 from repro.analysis.tables import format_table, overhead_pct
-from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite, TABLE6_COLUMNS, run_table6
+from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite, run_table6
 
 COLUMNS = ["DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED", "JITTED", "TRACED"]
-
-HOTPATH_JSON = os.path.join(os.path.dirname(__file__), "BENCH_hotpath.json")
 
 #: Timing-noise allowance for the "COMPILED never loses to EPTSPC" and
 #: "JITTED never loses to COMPILED" sweeps: rows where two
@@ -78,53 +69,9 @@ def test_open_close_per_column(benchmark, column):
     benchmark(suite.op_open_close)
 
 
-def _stdev_fields(samples, op):
-    """Per-column sample standard deviations for one syscall row."""
-    out = {}
-    for column, values in sorted((samples or {}).get(op, {}).items()):
-        out[column] = round(statistics.stdev(values), 3) if len(values) >= 2 else 0.0
-    return out
-
-
-def _emit_hotpath_json(results, iterations, samples=None):
-    """Persist the EPTSPC/COMPILED/JITTED trajectory artifact."""
-    rows = {}
-    for op in LMBENCH_OPS:
-        eptspc = results[op]["EPTSPC"]
-        compiled = results[op]["COMPILED"]
-        jitted = results[op]["JITTED"]
-        traced = results[op]["TRACED"]
-        rows[op] = {
-            "disabled_us": round(results[op]["DISABLED"], 3),
-            "eptspc_us": round(eptspc, 3),
-            "compiled_us": round(compiled, 3),
-            "jitted_us": round(jitted, 3),
-            "traced_us": round(traced, 3),
-            "compiled_vs_eptspc": round(compiled / eptspc, 3) if eptspc else None,
-            "jitted_vs_compiled": round(jitted / compiled, 3) if compiled else None,
-            "traced_vs_compiled": round(traced / compiled, 3) if compiled else None,
-            "stdev_us": _stdev_fields(samples, op),
-        }
-    payload = {
-        "benchmark": "table6_lmbench_hotpath",
-        "iterations": iterations,
-        "python": platform.python_version(),
-        "columns_compared": ["EPTSPC", "COMPILED", "JITTED", "TRACED"],
-        "rows": rows,
-    }
-    rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    # Smoke runs (tiny iteration budgets) exercise the emitter but must
-    # not clobber the committed steady-state artifact.
-    if iterations >= 200:
-        with open(HOTPATH_JSON, "w") as fh:
-            fh.write(rendered)
-    return payload
-
-
 def test_table6_grid(run_once, emit):
     iterations = _grid_iterations()
-    samples = {}
-    results = run_once(run_table6, iterations=iterations, samples_out=samples)
+    results = run_once(run_table6, iterations=iterations)
     rows = []
     for op in LMBENCH_OPS:
         base = results[op]["DISABLED"]
@@ -140,7 +87,6 @@ def test_table6_grid(run_once, emit):
             title="Table 6: lmbench-style microbenchmarks (us, % vs DISABLED)",
         )
     )
-    _emit_hotpath_json(results, iterations, samples)
 
     if iterations < 200:
         pytest.skip("PF_TABLE6_ITERS too small for stable timing-shape assertions")

@@ -19,10 +19,6 @@ files:
   of the E1–E9 exploits) with decision tracing on and print why each
   mediation was allowed or dropped; ``--codegen`` instead prints the
   JITTED engine's generated per-chain decision functions for the file.
-- ``bench-fork`` — fork a warm pre-fork parent at 1k/10k(/100k) live
-  children under eager-copy vs copy-on-write state propagation
-  (``repro.workloads.forkscale``) and print per-fork cost and
-  substrate bytes, with CoW-vs-eager observable parity checked.
 
 Usage::
 
@@ -35,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import errors
@@ -55,6 +52,29 @@ def engine_preset(name):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return name
+
+
+def positive_int(text):
+    """argparse ``type`` for counts that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: {!r}".format(text))
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not {}".format(value))
+    return value
+
+
+def positive_rate(text):
+    """argparse ``type`` for a rate: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: {!r}".format(text))
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite rate above 0, not {}".format(text))
+    return value
 
 
 def read_rule_lines(path):
@@ -402,86 +422,6 @@ def cmd_serve(args):
     return 0
 
 
-def cmd_bench_service(args):
-    """Run the service throughput/latency sweep from the CLI."""
-    import json as _json
-
-    from repro.service.driver import sweep_service
-
-    result = sweep_service(
-        worker_counts=args.workers,
-        load_factors=args.loads,
-        sessions=args.sessions,
-        seed=args.seed,
-        engine=args.engine,
-        processes=not args.inline,
-    )
-    if args.json:
-        print(_json.dumps(result, indent=2, sort_keys=True))
-        return 0
-    print("service sweep: {} sessions/point, engine {}".format(
-        args.sessions, args.engine))
-    print("{:>8} {:>6} {:>12} {:>10} {:>10} {:>10} {:>9}".format(
-        "workers", "load", "offered/s", "done/s", "p50us", "p99us", "rejected"))
-    for row in result["worker_points"]:
-        closed = row["closed_loop"]
-        print("{:>8} {:>6} {:>12} {:>10} {:>10} {:>10} {:>9}".format(
-            row["workers"], "cap", "-", closed["sessions_per_s"],
-            closed["p50_us"], closed["p99_us"], 0))
-        for point in row["load_points"]:
-            print("{:>8} {:>5.1f}x {:>12} {:>10} {:>10} {:>10} {:>9}".format(
-                row["workers"], point["load_factor"], point["offered_rate"],
-                point["sessions_per_s"], point["p50_us"], point["p99_us"],
-                point["rejected"]))
-    return 0
-
-
-def cmd_bench_fork(args):
-    """Run the fork-scale eager-vs-CoW sweep from the CLI."""
-    import json as _json
-
-    from repro.workloads.forkscale import fork_parity_observables, measure_fork_point
-
-    points = []
-    for live in args.live:
-        for mode in args.modes:
-            if mode == "eager" and live > args.eager_max:
-                continue
-            points.append(measure_fork_point(
-                mode, live, state_keys=args.state_keys, trace_heap=args.heap))
-    parity_ok = None
-    if not args.no_parity:
-        cow = fork_parity_observables("cow")
-        eager = fork_parity_observables("eager")
-        parity_ok = cow == eager
-        if not parity_ok:
-            print("pfctl: CoW vs eager observables diverged", file=sys.stderr)
-            return 1
-    if args.json:
-        print(_json.dumps({
-            "state_keys": args.state_keys,
-            "parity": parity_ok,
-            "points": points,
-        }, indent=2, sort_keys=True))
-        return 0
-    print("fork scale: warm parent with {} STATE keys".format(args.state_keys))
-    header = "{:>6} {:>8} {:>12} {:>12} {:>12}".format(
-        "mode", "live", "us/fork", "forks/s", "state MiB")
-    if args.heap:
-        header += " {:>12}".format("heap MiB")
-    print(header)
-    for point in points:
-        line = "{:>6} {:>8} {:>12.2f} {:>12.1f} {:>12.2f}".format(
-            point["mode"], point["live"], point["us_per_fork"],
-            point["forks_per_sec"], point["state_bytes"] / 2**20)
-        if args.heap:
-            line += " {:>12.2f}".format(point["heap_bytes"] / 2**20)
-        print(line)
-    if parity_ok is not None:
-        print("CoW vs eager verdict/log/stats parity: OK")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="pfctl", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -554,14 +494,14 @@ def build_parser():
              "stream and report throughput, tail latency, and backpressure")
     p.add_argument("file", nargs="?", default=None,
                    help="rules file (default: R1-R12 + safe_open)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=positive_int, default=2,
                    help="worker processes (default 2)")
-    p.add_argument("--sessions", type=int, default=100,
+    p.add_argument("--sessions", type=positive_int, default=100,
                    help="sessions to generate (default 100)")
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=positive_rate, default=None,
                    help="open-loop offered load, sessions/s "
                         "(default: closed loop)")
-    p.add_argument("--max-pending", type=int, default=64,
+    p.add_argument("--max-pending", type=positive_int, default=64,
                    help="open-loop admission queue bound (default 64)")
     p.add_argument("--seed", type=int, default=0x5EA5,
                    help="stream seed (default 0x5EA5)")
@@ -572,51 +512,6 @@ def build_parser():
                         "OS workers (debugging / serial reference)")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser(
-        "bench-service",
-        help="sweep the service over worker counts and offered-load "
-             "factors; report sustained throughput and p50/p99 latency")
-    p.add_argument("--workers", type=lambda s: [int(n) for n in s.split(",")],
-                   default=[1, 2, 4], metavar="N[,N...]",
-                   help="worker counts to sweep (default 1,2,4)")
-    p.add_argument("--loads", type=lambda s: [float(n) for n in s.split(",")],
-                   default=[0.5, 1.0, 2.0], metavar="F[,F...]",
-                   help="open-loop load factors x closed-loop capacity "
-                        "(default 0.5,1.0,2.0)")
-    p.add_argument("--sessions", type=int, default=200,
-                   help="sessions per measurement point (default 200)")
-    p.add_argument("--seed", type=int, default=0x5EA5,
-                   help="stream seed (default 0x5EA5)")
-    p.add_argument("--engine", type=engine_preset, default="JITTED",
-                   help="engine preset for every worker (default JITTED)")
-    p.add_argument("--inline", action="store_true",
-                   help="inline runners instead of OS workers")
-    p.add_argument("--json", action="store_true",
-                   help="emit the sweep as JSON instead of a table")
-    p.set_defaults(func=cmd_bench_service)
-
-    p = sub.add_parser(
-        "bench-fork",
-        help="fork a warm pre-fork parent at scale and report eager-copy "
-             "vs copy-on-write state propagation")
-    p.add_argument("--live", type=lambda s: [int(n) for n in s.split(",")],
-                   default=[1000, 10000], metavar="N[,N...]",
-                   help="live-children scales to sweep (default 1000,10000)")
-    p.add_argument("--modes", type=lambda s: s.split(","), default=["cow", "eager"],
-                   metavar="MODE[,MODE]",
-                   help="fork state modes to measure (default cow,eager)")
-    p.add_argument("--state-keys", type=int, default=8192,
-                   help="warm parent STATE entries (default 8192)")
-    p.add_argument("--eager-max", type=int, default=10000,
-                   help="largest scale to measure eager at (a 100k eager "
-                        "storm holds ~40 GB of replicas; default 10000)")
-    p.add_argument("--heap", action="store_true",
-                   help="also run the (untimed) tracemalloc heap pass")
-    p.add_argument("--no-parity", action="store_true",
-                   help="skip the CoW-vs-eager observable parity check")
-    p.add_argument("--json", action="store_true",
-                   help="emit the sweep as JSON instead of a table")
-    p.set_defaults(func=cmd_bench_fork)
     return parser
 
 

@@ -134,7 +134,8 @@ def run_service_experiment(quick=False):
     A small closed-loop run through :func:`repro.service.run_service`
     at 1 and 2 inline workers — throughput, p50/p99 mediation latency,
     and drop counts over a fixed-seed generated session stream.  The
-    statistically careful sweep lives in ``benchmarks/bench_service.py``.
+    seeded, repeated measurement is the ``session_service`` workload of
+    ``repobench/run.py``.
     """
     from repro.service import run_service
     from repro.workloads.generators import generate_stream

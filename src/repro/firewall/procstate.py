@@ -29,9 +29,9 @@ style of :mod:`repro.firewall.rescache`'s generation discipline:
   decision cache, context cache) with an O(1) :meth:`ProcState.fork`
   and the same copy-on-first-mutation contract for the decision
   cache's entries.  The eager-copy behaviour survives as
-  ``fork(eager=True)``: it is the measured baseline of
-  ``benchmarks/bench_fork_scale.py`` and the reference side of the
-  fork/exec differential suite, never the default.
+  ``fork(eager=True)``: it is the reference side of the fork/exec
+  differential suite and of the fork-storm byte counts in
+  ``tests/firewall/test_procstate.py``, never the default.
 
 Sharing is tracked per holder, not by refcounting: ``fork`` marks both
 sides shared, and a holder that mutates copies once and is private
@@ -40,9 +40,9 @@ one copy on its next write — not ten thousand — and children that
 never write pay nothing at all.
 
 Module-level counters (:func:`substrate_stats`) record fork and
-copy-break totals so benchmarks and tests can assert the sharing
-actually happened (a CoW substrate that silently copies eagerly would
-still pass every differential test).
+copy-break totals so tests can assert the sharing actually happened
+(a CoW substrate that silently copies eagerly would still pass every
+differential test).
 """
 
 from __future__ import annotations

@@ -158,9 +158,8 @@ class Kernel:
         self.stats = KernelStats()
         #: How ``fork`` propagates the per-process firewall state bundle:
         #: ``"cow"`` (default) shares it structurally with copy-on-first-
-        #: mutation; ``"eager"`` deep-copies at fork time — the measured
-        #: baseline of ``bench_fork_scale`` and the reference side of the
-        #: fork/exec differential suite.
+        #: mutation; ``"eager"`` deep-copies at fork time — the reference
+        #: side of the fork/exec differential suite.
         self.fork_state_mode = "cow"
         self.sys = SyscallAPI(self)
         #: Monotonic per-kernel syscall sequence; each in-flight syscall

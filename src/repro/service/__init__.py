@@ -21,7 +21,7 @@ reaped at close.  Four layers:
   admission and backpressure, plus the merge back to one serial-shaped
   result.
 
-Entry points: ``pfctl serve`` and ``pfctl bench-service``.
+Entry point: ``pfctl serve``.
 """
 
 from repro.service.driver import run_service

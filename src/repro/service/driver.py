@@ -7,15 +7,14 @@ Two admission modes:
 - **closed loop** (``mode="closed"``) — a bounded population: the next
   session is admitted when a slot frees up.  Offered load always
   matches capacity, nothing is rejected; this is the reproducible mode
-  the differential tests use and the capacity probe of the benchmark.
+  the differential tests use.
 - **open loop** (``mode="open"``) — arrivals are paced by wall clock
   at ``offered_rate`` sessions/second (the memoryless-arrival model;
   :func:`repro.workloads.generators.poisson_offsets` exists for
   explicit schedules).  Arrivals land in a bounded pending queue;
   when the queue is full, further arrivals are **rejected and
-  counted** — graceful backpressure, the behaviour past saturation
-  the benchmark's acceptance gate checks (throughput must plateau,
-  not collapse).
+  counted** — graceful backpressure past saturation (throughput
+  must plateau, not collapse).
 
 Admission is **batched**: each loop iteration hands the pool every
 pending session its free window can take in one
@@ -30,12 +29,12 @@ streams sort by ``sid``, audit records by ``(sid, sub)``, worker engine stats fo
 wall-clock and worker-CPU-time bases (the latter is the honest scaling
 measure on core-starved CI runners).  The merged dict also carries a
 ``wire`` section — driver- and worker-endpoint frame/byte/codec
-tallies plus bytes-per-session and sessions-per-frame — which is what
-the benchmark's wire columns read.
+tallies plus bytes-per-session and sessions-per-frame.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 from repro.firewall.engine import EngineStats
@@ -43,7 +42,7 @@ from repro.obs.metrics import registry_from_prometheus
 from repro.obs.service import ServiceCounters, WireCounters
 from repro.service import wire
 from repro.service.pool import DEFAULT_WORKER_WINDOW, ServicePool
-from repro.workloads.generators import generate_stream, service_rules_text
+from repro.workloads.generators import service_rules_text
 
 #: Default bound of the open-loop pending (arrival) queue, in sessions.
 DEFAULT_MAX_PENDING = 64
@@ -73,7 +72,8 @@ def run_service(
     (:func:`~repro.workloads.generators.service_rules_text`).
     ``engine`` is any :func:`repro.api.resolve_engine` spelling.
     ``processes=False`` runs inline (the serial reference when
-    ``workers=1``).  ``mode="open"`` requires ``offered_rate``; see
+    ``workers=1``).  ``mode="open"`` requires ``offered_rate``, a finite
+    rate above zero (sessions/s; anything else is a ``ValueError``); see
     the module docstring for the two admission disciplines.  The
     stream's spec templates and the shared audit string table are
     interned once (:meth:`~repro.service.wire.SpecCodec.from_specs` /
@@ -95,8 +95,12 @@ def run_service(
     """
     if mode not in ("closed", "open"):
         raise ValueError("mode must be 'closed' or 'open', not {!r}".format(mode))
-    if mode == "open" and not offered_rate:
+    if mode == "open" and offered_rate is None:
         raise ValueError("open-loop mode requires offered_rate")
+    if offered_rate is not None and not (
+            math.isfinite(offered_rate) and offered_rate > 0):
+        raise ValueError(
+            "offered_rate must be a finite positive rate, not {!r}".format(offered_rate))
     if rules_text is None:
         rules_text = service_rules_text()
     specs = list(specs)
@@ -217,8 +221,8 @@ def _wire_summary(pool, snapshots, completed):
     """The merged result's ``wire`` section.
 
     Driver-endpoint tallies straight off the pool, worker-endpoint
-    tallies folded across snapshots, and the two derived figures the
-    benchmark gates on: ``bytes_per_session`` (driver tx+rx over
+    tallies folded across snapshots, and the two derived figures
+    ``bytes_per_session`` (driver tx+rx over
     completed sessions) and ``sessions_per_frame`` (sessions carried
     per driver-sent run frame, up to a full worker window).  Inline pools move no
     bytes; their summary is all zeros with ``None`` derived figures.
@@ -305,96 +309,4 @@ def _merge(results, snapshots, counters, rejected, wall_s, mode, rate, workers, 
             "mediations_per_s": mediations / wall_s if wall_s > 0 else 0.0,
             "mediations_per_cpu_s": throughput_cpu,
         },
-    }
-
-
-def _us(seconds):
-    """Seconds → microseconds (rounded), ``None``-propagating."""
-    return None if seconds is None else round(seconds * 1e6, 2)
-
-
-def sweep_service(
-    worker_counts=(1, 2, 4, 8),
-    load_factors=(0.5, 1.0, 2.0),
-    sessions=200,
-    seed=0x5EA5,
-    engine="JITTED",
-    processes=True,
-    max_pending=DEFAULT_MAX_PENDING,
-    window=DEFAULT_WORKER_WINDOW,
-):
-    """The steady-state service sweep behind ``BENCH_service.json``.
-
-    For each worker count: one **closed-loop** run measures sustained
-    capacity (offered load == capacity by construction), then one
-    **open-loop** run per load factor offers ``factor × capacity``
-    sessions/second against a bounded queue.  Factors above 1.0 drive
-    the service past saturation, where the gate is *graceful*
-    degradation: completed throughput holds near capacity and the
-    surplus is rejected — never a collapse.
-
-    Returns a JSON-ready dict: per-worker capacity rows (closed-loop
-    rows include the wire figures — bytes/session, sessions/frame),
-    per-load points with p50/p99 mediation latency (µs),
-    completed/rejected session counts, and throughput on the wall and
-    worker-CPU bases.
-    """
-    specs = generate_stream(sessions, seed)
-    rules_text = service_rules_text()
-    worker_points = []
-    for workers in worker_counts:
-        closed = run_service(
-            specs, rules_text, engine=engine, workers=workers,
-            processes=processes, window=window,
-        )
-        capacity = closed["throughput"]["sessions_per_s"]
-        closed_wire = closed["wire"]
-        row = {
-            "workers": workers,
-            "closed_loop": {
-                "sessions_per_s": round(capacity, 1),
-                "mediations_per_s": round(closed["throughput"]["mediations_per_s"], 1),
-                "mediations_per_cpu_s": round(
-                    closed["throughput"]["mediations_per_cpu_s"], 1),
-                "p50_us": _us(closed["latency"]["p50"]),
-                "p99_us": _us(closed["latency"]["p99"]),
-                "drops": closed["drops"],
-                "bytes_per_session": (
-                    round(closed_wire["bytes_per_session"], 1)
-                    if closed_wire["bytes_per_session"] is not None else None),
-                "sessions_per_frame": (
-                    round(closed_wire["sessions_per_frame"], 2)
-                    if closed_wire["sessions_per_frame"] is not None else None),
-            },
-            "load_points": [],
-        }
-        for factor in load_factors:
-            rate = max(1.0, capacity * factor)
-            point = run_service(
-                specs, rules_text, engine=engine, workers=workers,
-                processes=processes, mode="open", offered_rate=rate,
-                max_pending=max_pending, window=window,
-            )
-            row["load_points"].append({
-                "load_factor": factor,
-                "offered_rate": round(rate, 1),
-                "completed": point["counters"]["completed"],
-                "rejected": point["counters"]["rejected"],
-                "queue_depth_peak": point["counters"]["queue_depth_peak"],
-                "sessions_per_s": round(point["throughput"]["sessions_per_s"], 1),
-                "mediations_per_s": round(point["throughput"]["mediations_per_s"], 1),
-                "p50_us": _us(point["latency"]["p50"]),
-                "p99_us": _us(point["latency"]["p99"]),
-            })
-        worker_points.append(row)
-    return {
-        "engine": engine,
-        "sessions": sessions,
-        "seed": seed,
-        "processes": bool(processes),
-        "max_pending": max_pending,
-        "worker_window": window,
-        "latency_unit": "microseconds (per mediated syscall, wall clock)",
-        "scaling_basis": "sessions/s wall + mediations per worker-CPU-second",
-        "worker_points": worker_points,
     }

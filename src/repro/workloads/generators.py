@@ -183,7 +183,7 @@ def generate_stream(count, seed, mix=None):
     ``seed`` drives both the model choice and each session's step
     generation, so equal ``(count, seed, mix)`` always yields the
     byte-identical stream — the property every differential test and
-    the CI service-smoke job lean on.
+    the repo benchmark's ``session_service`` workload lean on.
     """
     rng = random.Random(seed)
     weights = dict(DEFAULT_MIX if mix is None else mix)

@@ -152,7 +152,7 @@ def time_operation(fn, iterations=2000, warmup=50):
     return elapsed / iterations * 1e6
 
 
-def run_table6(iterations=2000, columns=None, rule_count=None, repeats=7, samples_out=None):
+def run_table6(iterations=2000, columns=None, rule_count=None, repeats=7):
     """Measure every (operation, column) cell.
 
     The grid is timed in ``repeats`` interleaved passes over the
@@ -160,11 +160,6 @@ def run_table6(iterations=2000, columns=None, rule_count=None, repeats=7, sample
     sweep lets allocator/GC drift over the run masquerade as an effect
     of whichever columns happen to be measured last.  ``iterations`` is
     the total per-cell budget, split across the passes.
-
-    When ``samples_out`` is a dict, every per-pass sample is appended
-    into ``samples_out[op_name][column]`` so callers can compute error
-    bars (per-row stdev in ``BENCH_hotpath.json``) alongside the
-    best-of-N point estimates.
 
     Returns ``{op_name: {column: microseconds}}``.
     """
@@ -177,8 +172,6 @@ def run_table6(iterations=2000, columns=None, rule_count=None, repeats=7, sample
             gc.collect()
             for name, fn in suites[column].operations():
                 sample = time_operation(fn, iterations=per_pass)
-                if samples_out is not None:
-                    samples_out.setdefault(name, {}).setdefault(column, []).append(sample)
                 best = results[name].get(column)
                 if best is None or sample < best:
                     results[name][column] = sample

@@ -1,5 +1,7 @@
 """The CoW substrate: CowMap/ProcState sharing, breaks, generations."""
 
+import sys
+
 import pytest
 
 from repro.firewall.procstate import (
@@ -8,6 +10,8 @@ from repro.firewall.procstate import (
     reset_substrate_stats,
     substrate_stats,
 )
+from repro.security.lsm import Op
+from repro.world import build_world, spawn_root_shell
 
 
 @pytest.fixture(autouse=True)
@@ -187,3 +191,84 @@ class TestProcStateFork:
         assert pf.decision_cache == (stamp, {"k": True})
         pf.decision_cache = None
         assert pf.decision_cache is None
+
+
+# ---------------------------------------------------------------------------
+# fork storms: write-free children off a warm parent, counted in bytes
+# ---------------------------------------------------------------------------
+
+#: Warm-parent shape: STATE entries (one recorded check identity per
+#: resource) and decision-cache entries (op kinds x entrypoint heads).
+STORM_STATE_KEYS = 1024
+STORM_HEADS_PER_OP = 64
+STORM_CHILDREN = 1000
+_STORM_OPS = (Op.FILE_GETATTR, Op.FILE_OPEN, Op.DIR_SEARCH, Op.FILE_READ)
+
+
+def build_fork_parent(mode):
+    """A kernel in fork mode ``mode`` plus one parent with warm state.
+
+    No firewall is attached and audit is off: the fork path under test
+    is the syscall layer plus the state substrate.  The warm state is
+    synthesized directly, shaped like a long-lived worker's.
+    """
+    kernel = build_world()
+    kernel.audit_enabled = False
+    kernel.fork_state_mode = mode
+    parent = spawn_root_shell(kernel, comm="prefork-parent")
+    for i in range(STORM_STATE_KEYS):
+        parent.pf.state[(0xBEEF, i)] = 0x100000 + i
+    entries = {
+        (op, parent.label): {("/bin/sh", 0x1000 + j) for j in range(STORM_HEADS_PER_OP)}
+        for op in _STORM_OPS
+    }
+    parent.pf.decision_cache = (object(), entries)
+    return kernel, parent
+
+
+def substrate_bytes(processes):
+    """Bytes held by the firewall state of ``processes``.
+
+    Each distinct backing container (STATE dict, decision-entry dict
+    and its head sets, context-cache tuple) is counted once by
+    identity, so structurally shared storage counts once across every
+    relative while eager replicas count once per process.
+    """
+    seen = set()
+    total = 0
+    for proc in processes:
+        pf = proc.pf
+        containers = [pf.state._data]
+        if pf.decision_cache is not None:
+            entries = pf.decision_cache[1]
+            containers.append(entries)
+            containers.extend(v for v in entries.values() if v is not True)
+        if pf.context_cache is not None:
+            containers += [pf.context_cache, pf.context_cache[1]]
+        for obj in containers:
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                total += sys.getsizeof(obj)
+    return total
+
+
+class TestForkStorm:
+    def _storm(self, mode):
+        kernel, parent = build_fork_parent(mode)
+        parent_bytes = substrate_bytes([parent])
+        reset_substrate_stats()
+        children = [kernel.sys.fork(parent) for _ in range(STORM_CHILDREN)]
+        return parent_bytes, substrate_bytes([parent] + children), substrate_stats()
+
+    def test_cow_storm_holds_one_copy(self):
+        parent_bytes, storm_bytes, stats = self._storm("cow")
+        assert stats["cow_forks"] == STORM_CHILDREN
+        assert stats["state_copies"] == stats["decision_copies"] == 0
+        # A thousand write-free children add not one byte of state.
+        assert storm_bytes == parent_bytes
+
+    def test_eager_storm_replicates(self):
+        parent_bytes, storm_bytes, stats = self._storm("eager")
+        assert stats["eager_forks"] == STORM_CHILDREN
+        # The reference really copies: one replica per child.
+        assert storm_bytes >= 500 * parent_bytes

@@ -74,6 +74,7 @@ def test_spawn_workers_match_serial(specs, rules_text, serial):
     assert _comparable_audit(result) == _comparable_audit(serial)
     assert result["drops"] == serial["drops"]
     assert result["stats"]["invocations"] == serial["stats"]["invocations"]
+    assert result["throughput"]["mediations_per_cpu_s"] > 0
     # Work actually landed on both workers.
     placements = {row["sessions"] for row in result["workers"]}
     assert all(row["sessions"] > 0 for row in result["workers"]), placements
@@ -89,7 +90,18 @@ def test_open_loop_backpressure_rejects_gracefully(specs, rules_text):
     assert counters["completed"] + counters["rejected"] == N_SESSIONS
     assert counters["rejected"] > 0
     assert counters["queue_depth_peak"] <= 4
+    # Never a collapse: the first max_pending arrivals always queue, and
+    # every admitted session completes.
+    assert counters["completed"] == counters["admitted"] >= 4
     assert sorted(result["rejected"]) == result["rejected"]
     # Completed sessions are a verdict-faithful subset of serial.
     done = {sid for sid, _i, _o, _s in result["verdicts"]}
     assert done.isdisjoint(set(result["rejected"]))
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+def test_open_loop_rejects_bad_offered_rate(specs, rules_text, rate):
+    """A rate that is not finite and positive fails before any pool exists."""
+    with pytest.raises(ValueError, match="finite positive"):
+        run_service(specs, rules_text, workers=1, processes=False,
+                    mode="open", offered_rate=rate)

@@ -196,21 +196,29 @@ class TestSuggest:
 
 
 class TestEngineFlag:
-    """``--engine`` is checked against the preset table at parse time."""
+    """``serve`` checks ``--engine``, ``--workers`` and ``--rate`` at parse time."""
 
-    @pytest.mark.parametrize("verb,engine", [
-        ("serve", "TABLED"),
-        ("bench-service", "bogus"),
-    ])
-    def test_unknown_preset_is_a_usage_error(self, verb, engine, capsys):
+    @pytest.mark.parametrize("flag,value,fragments", [
+        ("--engine", "TABLED", ["unknown engine preset 'TABLED'", "EPTSPC", "JITTED"]),
+        ("--engine", "bogus", ["unknown engine preset 'bogus'", "EPTSPC", "JITTED"]),
+        ("--workers", "0", ["argument --workers: must be at least 1"]),
+        ("--workers", "-1", ["argument --workers: must be at least 1"]),
+        ("--rate", "-5", ["argument --rate: must be a finite rate above 0"]),
+        ("--rate", "nan", ["argument --rate: must be a finite rate above 0"]),
+        ("--rate", "inf", ["argument --rate: must be a finite rate above 0"]),
+        ("--sessions", "-1", ["argument --sessions: must be at least 1"]),
+        ("--max-pending", "0", ["argument --max-pending: must be at least 1"]),
+    ], ids=["serve-TABLED", "serve-bogus", "workers-0", "workers-neg",
+            "rate-neg", "rate-nan", "rate-inf", "sessions-neg", "max-pending-0"])
+    def test_unknown_preset_is_a_usage_error(self, flag, value, fragments, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--engine", engine])
+            main(["serve", "--inline", "--sessions", "4", flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "usage: pfctl {}".format(verb) in err
-        assert "unknown engine preset {!r}".format(engine) in err
-        assert "EPTSPC" in err and "JITTED" in err
+        assert "usage: pfctl serve" in err
+        for fragment in fragments:
+            assert fragment in err
 
     def test_preset_spelling_is_kept(self):
         from repro.cli import build_parser

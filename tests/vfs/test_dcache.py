@@ -83,13 +83,43 @@ class TestDentryCache:
 # ---------------------------------------------------------------------------
 
 
+def _dentry_counters(kernel):
+    return {k: v for k, v in kernel.dcache.counters().items() if k[0] == "dentry"}
+
+
 class TestWalkCache:
-    def test_hit_after_identical_resolve(self, kernel):
-        _resolve(kernel, "/etc/passwd")
+    @pytest.mark.parametrize("path", [
+        "/etc/passwd",
+        "/usr/share/app/config/deep/nested/leaf.conf",
+    ], ids=["shallow", "deep"])
+    def test_hit_after_identical_resolve(self, kernel, monkeypatch, path):
+        kernel.mkdirs("/usr/share/app/config/deep/nested")
+        kernel.add_file("/usr/share/app/config/deep/nested/leaf.conf", b"x")
+        fs = kernel.walker.fs
+        fs_lookup = fs.lookup
+        searched = []
+
+        def counting_lookup(dir_inode, name):
+            searched.append(name)
+            return fs_lookup(dir_inode, name)
+
+        monkeypatch.setattr(fs, "lookup", counting_lookup)
+        _resolve(kernel, path)
         hits = kernel.dcache.walks.hits
-        r = _resolve(kernel, "/etc/passwd")
+        dentries = _dentry_counters(kernel)
+        searched.clear()
+        r = _resolve(kernel, path)
         assert kernel.dcache.walks.hits == hits + 1
-        assert r.path == "/etc/passwd"
+        assert r.path == path
+        # A warm hit replays the recorded walk: no directory is searched
+        # and the dentry layer is not consulted at all.
+        assert searched == []
+        assert _dentry_counters(kernel) == dentries
+        # Cold, the same resolve searches one directory per component.
+        kernel.dcache.enabled = False
+        cold = _resolve(kernel, path)
+        assert searched == path.split("/")[1:]
+        assert cold.inode is r.inode
 
     def test_replay_returns_fresh_equal_resolution(self, kernel):
         cold = _resolve(kernel, "/etc/passwd")

@@ -34,7 +34,6 @@ CHECKED_MODULES = [
     "repro.firewall.codegen",
     "repro.firewall.rescache",
     "repro.firewall.procstate",
-    "repro.workloads.forkscale",
     "repro.parallel",
     "repro.parallel.merge",
     "repro.api",
