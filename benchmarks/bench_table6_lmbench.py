@@ -3,8 +3,8 @@
 Columns: DISABLED (baseline), BASE (enabled, empty rules), FULL (1218
 rules, no optimizations), CONCACHE (+context caching), LAZYCON (+lazy
 retrieval), EPTSPC (+entrypoint chains), COMPILED (+compiled dispatch
-and the negative-decision cache), JITTED (COMPILED + per-rule codegen
-and the resource-context cache), TRACED (COMPILED with the full
+and the negative-decision cache), JITTED (COMPILED + per-rule codegen),
+TRACED (COMPILED with the full
 observability layer on: decision tracing + metrics registry — its
 distance from COMPILED is the published tracing-overhead number, and
 COMPILED itself must stay within noise of its pre-observability

@@ -215,11 +215,7 @@ def cmd_counters(args):
         print("pfctl: counters requires a rules file (or --service N)",
               file=sys.stderr)
         return 1
-    # Resource-context caching is decision-identical, so turning it on
-    # here costs nothing and lets the counters view surface the
-    # pf_rescache_total{result=...} family alongside the chain counters.
     session = Session(
-        engine=EngineConfig(resource_cache=True),
         rules=read_rule_lines(args.file),
         metered=True,
         dcache=False if args.no_dcache else None,
@@ -244,11 +240,6 @@ def cmd_counters(args):
         firewall.stats.accepts,
         firewall.stats.drops,
         firewall.metrics.value("pf_fast_path_total"),
-    ))
-    print("rescache: hits={}  misses={}  invalidations={}".format(
-        firewall.metrics.value("pf_rescache_total", {"result": "hit"}),
-        firewall.metrics.value("pf_rescache_total", {"result": "miss"}),
-        firewall.metrics.value("pf_rescache_total", {"result": "invalidate"}),
     ))
     dc = world.dcache.counters()
     print("dcache: {} — dentry hits={} neg={} misses={} inval={}; "

@@ -31,11 +31,8 @@ resource- or call-dependent — see ``docs/INTERNALS.md``.
 
 The JITTED rung tops the ladder: the dispatch tuples are compiled
 into flat Python decision functions with rule constants bound in the
-closure (:mod:`repro.firewall.codegen`), and expensive per-inode
-context fields (object label, adversary accessibility) are memoized in
-a VFS-invalidated resource-context cache
-(:mod:`repro.firewall.rescache`).  Traced or metered mediations fall
-back to the interpreted walker, so observability semantics are
+closure (:mod:`repro.firewall.codegen`).  Traced or metered mediations
+fall back to the interpreted walker, so observability semantics are
 unchanged.  See ``docs/COMPILATION.md`` for the full ladder.
 
 The engine also hosts the :mod:`repro.obs` observability layer:
@@ -58,13 +55,7 @@ from repro.firewall import targets as tg
 from repro.firewall.context import _DECISION_STABLE_INT, ContextField, ContextFrame
 from repro.firewall.codegen import JitProgram
 from repro.firewall.modules.registry import collect_field
-from repro.firewall.rescache import (
-    _RESCACHE_FIELDS_INT,
-    HIT as RESCACHE_HIT,
-    INVALIDATE as RESCACHE_INVALIDATE,
-    ResourceContextCache,
-)
-from repro.firewall.rule import RuleBase, _op_accepts
+from repro.firewall.rule import RuleBase
 from repro.obs.audit import WARNING, AuditRing
 from repro.obs.metrics import (
     PHASE_CACHE_PROBE,
@@ -137,7 +128,6 @@ class EngineConfig:
         "decision_cache",
         "global_traversal_state",
         "jit_codegen",
-        "resource_cache",
     )
 
     def __init__(
@@ -150,7 +140,6 @@ class EngineConfig:
         decision_cache=False,
         global_traversal_state=False,
         jit_codegen=False,
-        resource_cache=False,
     ):
         self.enabled = enabled
         self.context_cache = context_cache
@@ -172,10 +161,6 @@ class EngineConfig:
         #: sets) ``entrypoint_chains`` + ``compiled_dispatch``; traced
         #: or metered mediations fall back to the interpreted walker.
         self.jit_codegen = jit_codegen
-        #: Memoize expensive per-inode context fields in the
-        #: VFS-invalidated resource-context cache
-        #: (:mod:`repro.firewall.rescache`).
-        self.resource_cache = resource_cache
 
     # ---- Table 6 column presets ----
 
@@ -211,13 +196,8 @@ class EngineConfig:
 
     @classmethod
     def jitted(cls):
-        """JITTED: COMPILED + rule codegen + resource-context cache."""
-        return cls(
-            compiled_dispatch=True,
-            decision_cache=True,
-            jit_codegen=True,
-            resource_cache=True,
-        )
+        """JITTED: COMPILED + rule codegen."""
+        return cls(compiled_dispatch=True, decision_cache=True, jit_codegen=True)
 
     @classmethod
     def preset(cls, name):
@@ -273,13 +253,10 @@ class EngineStats:
         #: Whole traversals short-circuited by the negative-decision
         #: cache (COMPILED configurations only).
         self.decision_cache_hits = 0
-        #: Resource-context cache outcomes (JITTED configurations
-        #: only): collections avoided, collections performed through
-        #: the cache, and entries discarded on a validity mismatch.
-        self.rescache_hits = 0
-        self.rescache_misses = 0
-        self.rescache_invalidations = 0
         self.irq_disables = 0
+
+    #: Fixed at zero for ``repobench/common.py::kernel_counters``.
+    rescache_hits = rescache_misses = 0
 
     #: Scalar counters, in declaration order; ``context_collections``
     #: (a per-field dict) is handled separately by the snapshot/merge
@@ -292,9 +269,6 @@ class EngineStats:
         "context_cost",
         "cache_hits",
         "decision_cache_hits",
-        "rescache_hits",
-        "rescache_misses",
-        "rescache_invalidations",
         "irq_disables",
     )
 
@@ -375,9 +349,6 @@ class ProcessFirewall:
         #: Compiled rule program (jit_codegen); rebuilt whenever the
         #: rule-base stamp identity changes.
         self._jit = None
-        #: VFS-invalidated memo of per-inode context fields
-        #: (resource_cache configurations only).
-        self._rescache = ResourceContextCache() if self.config.resource_cache else None
         #: Memo of relevant top-level chains per op, keyed by rule-base
         #: stamp (hot-path optimization for the op-index skip).  The
         #: stamp, not the bare version, so an atomically swapped rule
@@ -432,8 +403,6 @@ class ProcessFirewall:
         self._chain_memo = {}
         self._chain_memo_stamp = None
         self._jit = None
-        if self._rescache is not None:
-            self._rescache.clear()
 
     def jit_program(self):
         """The compiled rule program for the current rule base.
@@ -509,34 +478,6 @@ class ProcessFirewall:
                         "pf_context_cache_hits_total", {"field": field.name}
                     )
             return frame.get(field)
-        rescache = self._rescache
-        if rescache is not None and bits & _RESCACHE_FIELDS_INT:
-            obj = operation.obj
-            if (
-                obj is not None
-                and self.kernel is not None
-                and getattr(obj, "ino", None) is not None
-            ):
-                outcome, value = rescache.fetch(field, operation, self)
-                metered = self.metrics.enabled
-                if outcome == RESCACHE_HIT:
-                    self.stats.rescache_hits += 1
-                    frame.put(field, value)
-                    trace = frame.trace
-                    if trace is not None:
-                        trace.note_field(field.name, FIELD_CACHED)
-                    if metered:
-                        self.metrics.inc("pf_rescache_total", {"result": outcome})
-                    return value
-                if outcome == RESCACHE_INVALIDATE:
-                    self.stats.rescache_invalidations += 1
-                else:
-                    self.stats.rescache_misses += 1
-                if metered:
-                    self.metrics.inc("pf_rescache_total", {"result": outcome})
-                value = self._collect_checked(field, operation, frame)
-                rescache.store(field, operation, self, value)
-                return value
         return self._collect_checked(field, operation, frame)
 
     def _collect_checked(self, field, operation, frame):
@@ -869,22 +810,7 @@ class ProcessFirewall:
                             if trace is not None:
                                 trace.note_field(field.name, FIELD_CACHED)
                         continue
-                    if trace is not None:
-                        trace.note_field(field.name, FIELD_COLLECTED)
-                    try:
-                        if metered:
-                            started = perf_counter()
-                            try:
-                                collect_field(field, operation, self.kernel, frame, self.stats)
-                            finally:
-                                metrics.observe_phase(PHASE_CONTEXT, perf_counter() - started)
-                                metrics.inc(
-                                    "pf_context_collections_total", {"field": field.name}
-                                )
-                        else:
-                            collect_field(field, operation, self.kernel, frame, self.stats)
-                    except errors.EFAULT:
-                        frame.put(field, None)
+                    self._collect_checked(field, operation, frame)
 
         walk_started = perf_counter() if metered else 0.0
         try:

@@ -16,8 +16,8 @@ work multiplied by process count.  A pre-fork server model at 100k+
 sessions pays the parent's whole state size again on every fork, for
 state the child will usually never write.
 
-This module provides the structural-sharing substrate instead, in the
-style of :mod:`repro.firewall.rescache`'s generation discipline:
+This module provides the structural-sharing substrate instead, kept
+valid by generation stamps:
 
 - :class:`CowMap` — a dict-shaped map whose backing storage is shared
   between fork relatives until the **first mutation** on either side,
@@ -95,8 +95,8 @@ class CowMap(MutableMapping):
 
     The ``generation`` stamp increments on every mutation (including
     :meth:`clear` and the implicit unshare-copy), giving observers a
-    rescache-style validity token: equal generations on the same
-    lineage imply equal content.
+    validity token: equal generations on the same lineage imply equal
+    content.
     """
 
     __slots__ = ("_data", "_shared", "generation")

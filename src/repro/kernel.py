@@ -25,7 +25,7 @@ from repro.security.dac import dac_check
 from repro.security.lsm import LSMDispatcher, Op, Operation
 from repro.security.selinux import SELinuxModule
 from repro.syscalls.api import SyscallAPI
-from repro.vfs.dcache import Dcache, GenerationSources
+from repro.vfs.dcache import Dcache
 from repro.vfs.filesystem import FileSystem
 from repro.vfs.inode import FileType
 from repro.vfs.namei import PathWalker, split_path
@@ -133,13 +133,10 @@ class Kernel:
         self.fs = FileSystem(device=8, clock=self.clock)
         self.lsm = LSMDispatcher()
         self.adversaries = AdversaryModel(policy=policy)
-        #: The invalidation-stamp sources shared by the dentry/walk
-        #: caches and the firewall's resource-context cache.
-        self.generations = GenerationSources(self.fs, self.adversaries)
         #: Fast-path name resolution (see :mod:`repro.vfs.dcache`).
         #: On by default; flip ``kernel.dcache.enabled`` (or pass
         #: ``Session(dcache=False)``) to force every walk cold.
-        self.dcache = self.fs.attach_dcache(Dcache(self.generations))
+        self.dcache = self.fs.attach_dcache(Dcache(self.fs, self.adversaries))
         self.walker = PathWalker(self.fs, dcache=self.dcache)
         self.selinux = None  # type: Optional[SELinuxModule]
         if policy is not None:

@@ -8,13 +8,11 @@ with a single ``registry.enabled`` attribute check, so the cost of the
 disabled path is one boolean test per site (measured in the Table 6
 grid's TRACED column against COMPILED — see ``docs/OBSERVABILITY.md``).
 
-Families of note: ``pf_rescache_total{result=hit|miss|invalidate}``
-counts resource-context cache outcomes (JITTED configurations), and
-``pf_dcache_total{cache=dentry|walk, result=hit|negative_hit|miss|
-invalidate}`` counts name-resolution fast-path outcomes (one-shot
-published by :meth:`repro.vfs.dcache.Dcache.publish`).  Both are
-surfaced by ``pfctl counters`` and described in
-``docs/OBSERVABILITY.md``.
+Family of note: ``pf_dcache_total{cache=dentry|walk, result=hit|
+negative_hit|miss|invalidate}`` counts name-resolution fast-path
+outcomes (one-shot published by
+:meth:`repro.vfs.dcache.Dcache.publish`).  It is surfaced by ``pfctl
+counters`` and described in ``docs/OBSERVABILITY.md``.
 
 Counter identity is ``(name, labels)`` where ``labels`` is a sorted
 tuple of ``(key, value)`` string pairs — the same shape Prometheus

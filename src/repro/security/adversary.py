@@ -34,8 +34,8 @@ class AdversaryModel:
         self.known_uids = set(known_uids or {0})
         #: Bumped whenever the adversary population grows: a new user
         #: is a new potential adversary for every process, so every
-        #: cached accessibility answer (the engine's resource-context
-        #: cache) must be recomputed.
+        #: memoized resolution (the walk cache's stamp) must be
+        #: recomputed.
         self.epoch = 0
 
     def register_uid(self, uid):

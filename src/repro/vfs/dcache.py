@@ -4,8 +4,7 @@ Every syscall in this reproduction re-resolves its pathname
 component-by-component in :class:`repro.vfs.namei.PathWalker` — the
 kernel-side cost the paper's lmbench rows (Table 6) charge to resource
 access.  Linux amortizes that with the dcache/RCU-walk split; this
-module is our analogue, built the same way
-:mod:`repro.firewall.rescache` amortizes resource-context collection:
+module is our analogue, built on one rule:
 
 **cache the walk, never the verdict.**
 
@@ -22,7 +21,7 @@ Two caches, one invariant:
   ``(path, follow_final, want_parent, start)`` holding the final
   :class:`~repro.vfs.namei.ResolvedPath` *plus* its recorded step
   list, valid only under the generation stamp captured at record time
-  (:meth:`GenerationSources.walk_stamp`: VFS namespace generation,
+  (:meth:`Dcache.walk_stamp`: VFS namespace generation,
   mount generation, adversary epoch).  On a hit the walker **replays
   every recorded step to the observer**, so LSM + Process Firewall
   mediation order, counts, and deny points are byte-identical to a
@@ -58,53 +57,6 @@ _MISSING = object()
 _NEGATIVE = None
 
 
-class GenerationSources:
-    """The system-wide invalidation stamps, shared with ``rescache``.
-
-    One object owns the references the caches poll: the filesystem
-    (namespace + mount generations) and the adversary model (epoch).
-    :mod:`repro.firewall.rescache` consumes :meth:`shared_stamp` for
-    its per-inode validity tuples; the walk cache consumes
-    :meth:`walk_stamp`.  Collecting them here keeps the two caches'
-    lifetimes aligned by construction instead of by convention.
-    """
-
-    __slots__ = ("fs", "adversaries")
-
-    def __init__(self, fs, adversaries=None):
-        self.fs = fs
-        self.adversaries = adversaries
-
-    def walk_stamp(self):
-        """Validity stamp for memoized resolutions.
-
-        ``(ns_gen, mount_generation, adversary epoch)`` — any namespace
-        mutation, mount-table change, or adversary-population growth
-        yields a fresh tuple, dropping every cached walk.
-        """
-        fs = self.fs
-        adversaries = self.adversaries
-        return (
-            fs.ns_gen,
-            fs.mount_generation,
-            adversaries.epoch if adversaries is not None else 0,
-        )
-
-    def shared_stamp(self):
-        """The stamp components the resource-context cache also needs.
-
-        ``(adversary epoch, mount_generation)`` — the system-wide half
-        of :meth:`repro.firewall.rescache.ResourceContextCache._validity`;
-        the per-inode half (``generation``/``meta_gen``) stays with the
-        inode.
-        """
-        adversaries = self.adversaries
-        return (
-            adversaries.epoch if adversaries is not None else 0,
-            self.fs.mount_generation,
-        )
-
-
 class DentryCache:
     """``(dir_ino, name) -> child inode`` with negative entries.
 
@@ -115,8 +67,8 @@ class DentryCache:
     makes a hit a single dict probe; the object can never be a
     recycled tenant because recycling requires the last unlink, and
     that unlink dropped this entry first.  Eviction is wholesale at
-    ``capacity`` distinct keys, like the resource-context cache —
-    steady-state working sets are tiny compared to any sane capacity.
+    ``capacity`` distinct keys — steady-state working sets are tiny
+    compared to any sane capacity.
     """
 
     __slots__ = ("capacity", "hits", "neg_hits", "misses", "invalidations", "_entries")
@@ -253,10 +205,14 @@ class Dcache:
     before a mutation.
     """
 
-    __slots__ = ("generations", "dentries", "walks", "enabled")
+    __slots__ = ("fs", "adversaries", "dentries", "walks", "enabled")
 
-    def __init__(self, generations, enabled=True, walk_capacity=4096, dentry_capacity=8192):
-        self.generations = generations
+    def __init__(self, fs, adversaries=None, enabled=True, walk_capacity=4096,
+                 dentry_capacity=8192):
+        #: The stamp sources :meth:`walk_stamp` polls: the filesystem
+        #: (namespace + mount generations) and the adversary model.
+        self.fs = fs
+        self.adversaries = adversaries
         self.dentries = DentryCache(capacity=dentry_capacity)
         self.walks = WalkCache(capacity=walk_capacity)
         self.enabled = enabled
@@ -269,13 +225,28 @@ class Dcache:
         """Dentry-cached directory lookup (see :meth:`DentryCache.lookup`)."""
         return self.dentries.lookup(fs, dir_inode, name)
 
+    def walk_stamp(self):
+        """Validity stamp for memoized resolutions.
+
+        ``(ns_gen, mount_generation, adversary epoch)`` — any namespace
+        mutation, mount-table change, or adversary-population growth
+        yields a fresh tuple, dropping every cached walk.
+        """
+        fs = self.fs
+        adversaries = self.adversaries
+        return (
+            fs.ns_gen,
+            fs.mount_generation,
+            adversaries.epoch if adversaries is not None else 0,
+        )
+
     def walk_fetch(self, key):
         """Probe the walk cache under the live generation stamp."""
-        return self.walks.fetch(key, self.generations.walk_stamp())
+        return self.walks.fetch(key, self.walk_stamp())
 
     def walk_store(self, key, resolved):
         """Memoize a successful resolution under the live stamp."""
-        self.walks.store(key, self.generations.walk_stamp(), resolved)
+        self.walks.store(key, self.walk_stamp(), resolved)
 
     # ------------------------------------------------------------------
     # invalidation surface (filesystem mutation hooks)

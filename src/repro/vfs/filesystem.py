@@ -24,9 +24,9 @@ class FileSystem:
         self.inodes.link_added(self.root)  # "/" references itself
         self._clock = clock
         #: Mount-table generation: bumped by every (re)mount-style
-        #: namespace change.  Part of the resource-context cache's
-        #: validity tuple — a mount can place any object under new
-        #: ancestry, so every cached access answer is suspect after one.
+        #: namespace change.  Part of the walk-replay cache's stamp — a
+        #: mount can place any object under new ancestry, so every
+        #: cached resolution is suspect after one.
         self.mount_generation = 0
         #: Namespace generation: bumped by every mutation that can
         #: change what a pathname resolves to (create / link / unlink /
@@ -145,7 +145,6 @@ class FileSystem:
             raise errors.EISDIR("unlink on a directory; use rmdir")
         del dir_inode.children[name]
         self._namespace_changed(dir_inode, name)
-        child.bump_meta()
         self.inodes.link_removed(child)
         self._touch(dir_inode)
         return child
@@ -158,7 +157,6 @@ class FileSystem:
             raise errors.ENOTEMPTY("directory {!r} not empty".format(name))
         del dir_inode.children[name]
         self._namespace_changed(dir_inode, name)
-        child.bump_meta()
         self.inodes.link_removed(child)
         self._touch(dir_inode)
         return child
@@ -183,13 +181,11 @@ class FileSystem:
             if existing.is_dir and existing.children:
                 raise errors.ENOTEMPTY("rename target directory not empty")
             del dst_dir.children[dst_name]
-            existing.bump_meta()
             self.inodes.link_removed(existing)
         del src_dir.children[src_name]
         dst_dir.children[dst_name] = child.ino
         self._namespace_changed(src_dir, src_name)
         self._namespace_changed(dst_dir, dst_name)
-        child.bump_meta()
         self._touch(src_dir)
         self._touch(dst_dir)
         return child
@@ -214,16 +210,11 @@ class FileSystem:
     # ------------------------------------------------------------------
     #
     # These are the canonical mutation points for inode security
-    # metadata.  Each bumps the inode's ``meta_gen`` so any cached
-    # conclusion about who may access the object (the engine's
-    # resource-context cache) is invalidated on next use.  Callers that
-    # mutate ``mode``/``uid``/``label`` directly bypass invalidation —
-    # the syscall layer and the kernel route through these.
+    # metadata; the syscall layer and the kernel route through these.
 
     def chmod(self, inode, mode):
         """Replace the permission bits of ``inode`` (mode & 07777)."""
         inode.mode = (inode.mode & ~0o7777) | (mode & 0o7777)
-        inode.bump_meta()
         self._touch(inode)
         return inode
 
@@ -232,7 +223,6 @@ class FileSystem:
         inode.uid = uid
         if gid is not None:
             inode.gid = gid
-        inode.bump_meta()
         self._touch(inode)
         return inode
 
@@ -246,7 +236,6 @@ class FileSystem:
         forces the next resolution cold.
         """
         inode.label = label
-        inode.bump_meta()
         self.ns_gen += 1
         self._touch(inode)
         return inode
@@ -256,9 +245,9 @@ class FileSystem:
 
         The reproduction has no true mount namespace; what matters for
         the engine is the *signal*: bumping ``mount_generation``
-        invalidates every cached resource-context answer at once (and
-        clears the dentry/walk caches — a mount can place any object
-        under new ancestry).
+        invalidates every cached walk at once (and clears the
+        dentry/walk caches — a mount can place any object under new
+        ancestry).
         """
         self.mount_generation += 1
         if self.dcache is not None:

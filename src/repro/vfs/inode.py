@@ -47,17 +47,11 @@ class Inode:
         label: SELinux-style type label (e.g. ``"etc_t"``).
         nlink: number of directory entries referencing this inode.
         opens: number of open file descriptions referencing this inode.
-        meta_gen: security-metadata generation, bumped by every
-            mutation that can change who may access this object
-            (chmod / chown / relabel / link changes).  Consumed by the
-            engine's resource-context cache
-            (:mod:`repro.firewall.rescache`) as an invalidation signal.
     """
 
     __slots__ = (
         "ino",
         "generation",
-        "meta_gen",
         "itype",
         "uid",
         "gid",
@@ -77,7 +71,6 @@ class Inode:
     def __init__(self, ino, itype, uid=0, gid=0, mode=0o644, label="unlabeled_t", device=0, generation=0, now=0):
         self.ino = ino
         self.generation = generation
-        self.meta_gen = 0
         self.itype = itype
         self.uid = uid
         self.gid = gid
@@ -112,15 +105,6 @@ class Inode:
     @property
     def is_sticky(self):
         return bool(self.mode & S_ISVTX)
-
-    def bump_meta(self):
-        """Invalidate cached security conclusions about this object.
-
-        Called by every VFS mutation that can change an access answer
-        (chmod / chown / relabel / unlink / rename).  Cheap enough to
-        over-call: a bump only costs cached-context recomputation.
-        """
-        self.meta_gen += 1
 
     def identity(self):
         """Return the ``(device, ino)`` pair programs compare after stat.

@@ -138,7 +138,10 @@ def run_table7(build_files=60, boot_services=24, web_requests=200, repeats=3):
     Returns ``{row_name: {config: value}}``; lower is better for times
     and latency, higher for throughput.  Each cell is the best of
     ``repeats`` runs (fresh world each run) — single runs on a shared
-    machine are too noisy for overhead comparisons.
+    machine are too noisy for overhead comparisons.  The repeats are
+    interleaved: each one runs all three configurations, rotating which
+    goes first, so a shift in host speed lands on every configuration
+    instead of only the one that happened to be running.
     """
     rows = {
         "Apache Build (s)": {},
@@ -148,15 +151,19 @@ def run_table7(build_files=60, boot_services=24, web_requests=200, repeats=3):
         "Web1000-L (ms)": {},
         "Web1000-T (Kb/s)": {},
     }
-    for config in TABLE7_CONFIGS:
-        builds, boots = [], []
-        web1, web1000 = [], []
-        for _ in range(max(1, repeats)):
+    samples = {config: ([], [], [], []) for config in TABLE7_CONFIGS}
+    n = len(TABLE7_CONFIGS)
+    for r in range(max(1, repeats)):
+        for k in range(n):
+            config = TABLE7_CONFIGS[(r + k) % n]
+            builds, boots, web1, web1000 = samples[config]
             suite = MacrobenchSuite(config)
             builds.append(suite.apache_build(files=build_files))
             boots.append(suite.boot(services=boot_services))
             web1.append(suite.web(requests=web_requests, clients=1))
             web1000.append(suite.web(requests=web_requests, clients=16))
+    for config in TABLE7_CONFIGS:
+        builds, boots, web1, web1000 = samples[config]
         rows["Apache Build (s)"][config] = min(builds)
         rows["Boot (s)"][config] = min(boots)
         rows["Web1-L (ms)"][config] = min(latency for latency, _t in web1)

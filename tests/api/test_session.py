@@ -32,7 +32,7 @@ def test_resolve_engine_preset_string_case_insensitive():
 
 
 def test_resolve_engine_config_passthrough():
-    config = EngineConfig(resource_cache=True)
+    config = EngineConfig(decision_cache=True)
     assert resolve_engine(config) is config
 
 

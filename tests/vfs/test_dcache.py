@@ -12,7 +12,7 @@ import pytest
 
 from repro import errors
 from repro.kernel import Kernel
-from repro.vfs.dcache import Dcache, DentryCache, GenerationSources, WalkCache
+from repro.vfs.dcache import Dcache, DentryCache, WalkCache
 from repro.vfs.inode import FileType
 
 
@@ -310,20 +310,15 @@ class TestInvalidationMatrix:
 
 
 class TestStampsAndCounters:
-    def test_generation_sources_shared_with_rescache(self, kernel):
-        assert kernel.generations.fs is kernel.fs
-        assert kernel.generations.adversaries is kernel.adversaries
-        epoch, mount = kernel.generations.shared_stamp()
-        assert epoch == kernel.adversaries.epoch
-        assert mount == kernel.fs.mount_generation
-        ns, mnt, ep = kernel.generations.walk_stamp()
+    def test_walk_stamp_reads_kernel_sources(self, kernel):
+        assert kernel.dcache.fs is kernel.fs
+        assert kernel.dcache.adversaries is kernel.adversaries
+        ns, mnt, ep = kernel.dcache.walk_stamp()
         assert (ns, mnt, ep) == (kernel.fs.ns_gen, kernel.fs.mount_generation,
                                  kernel.adversaries.epoch)
 
     def test_walk_stamp_without_adversaries(self, kernel):
-        gens = GenerationSources(kernel.fs, None)
-        assert gens.walk_stamp()[2] == 0
-        assert gens.shared_stamp()[0] == 0
+        assert Dcache(kernel.fs).walk_stamp()[2] == 0
 
     def test_counters_shape(self, kernel):
         _resolve(kernel, "/etc/passwd")

@@ -32,7 +32,6 @@ CHECKED_MODULES = [
     "repro.obs.trace",
     "repro.firewall.engine",
     "repro.firewall.codegen",
-    "repro.firewall.rescache",
     "repro.firewall.procstate",
     "repro.parallel",
     "repro.parallel.merge",

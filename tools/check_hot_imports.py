@@ -39,7 +39,6 @@ HOT_MODULES = [
     "repro/vfs/dcache.py",
     "repro/vfs/inode.py",
     "repro/vfs/file.py",
-    "repro/firewall/rescache.py",
     "repro/firewall/engine.py",
     "repro/firewall/procstate.py",
     "repro/security/dac.py",
