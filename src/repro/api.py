@@ -10,12 +10,12 @@ plumbing.  The service driver (:mod:`repro.service`) cannot afford a
 fifth copy, so construction now has one front door:
 
 >>> from repro.api import Session
->>> session = Session(engine="JITTED", rules=safe_open_pf_rules())
+>>> session = Session(engine="COMPILED", rules=safe_open_pf_rules())
 >>> shell = session.spawn("sh", binary_path="/bin/sh")
 >>> session.sys.open(shell, "/etc/passwd", "r")
 
-``Session`` collapses the engine-column zoo (EPTSPC / COMPILED /
-JITTED classmethods, ``EngineConfig.preset`` strings, per-benchmark
+``Session`` collapses the engine-column zoo (EPTSPC / COMPILED
+classmethods, ``EngineConfig.preset`` strings, per-benchmark
 flag tuples) into a single ``engine=`` parameter, accepts rules in
 every shape the repo produces (pftables lines, ``save_rules`` text,
 installer callables), and owns the world-builder registry that
@@ -52,7 +52,7 @@ def resolve_engine(engine):
 
     ``None`` means the shipping default (EPTSPC, the paper's fully
     optimized engine); a string is a Table 6 column name resolved via
-    :meth:`EngineConfig.preset` (``"JITTED"``, ``"compiled"``, ...);
+    :meth:`EngineConfig.preset` (``"COMPILED"``, ``"eptspc"``, ...);
     an :class:`EngineConfig` instance passes through untouched (for
     ablations that need hand-tuned switches).  Anything else raises
     ``TypeError`` so a misplaced argument fails loudly.

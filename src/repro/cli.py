@@ -17,8 +17,7 @@ files:
   registry instead).
 - ``explain`` — the ``pf-trace`` front end: mediate one access (or one
   of the E1–E9 exploits) with decision tracing on and print why each
-  mediation was allowed or dropped; ``--codegen`` instead prints the
-  JITTED engine's generated per-chain decision functions for the file.
+  mediation was allowed or dropped.
 
 Usage::
 
@@ -303,16 +302,6 @@ def _cmd_counters_service(args):
 
 
 def cmd_explain(args):
-    if getattr(args, "codegen", False):
-        from repro.api import resolve_engine
-        from repro.firewall.codegen import dump_codegen
-
-        firewall = ProcessFirewall(resolve_engine("JITTED"))
-        for line in read_rule_lines(args.file):
-            pftables(firewall, line)
-        print(dump_codegen(firewall))
-        return 0
-
     if args.exploit:
         from repro.attacks.exploits import EXPLOITS
 
@@ -474,9 +463,6 @@ def build_parser():
                        help="trace opening PATH in the standard world")
     group.add_argument("--exploit", metavar="EID",
                        help="trace one of the E1-E9 exploits (e.g. E3)")
-    group.add_argument("--codegen", action="store_true",
-                       help="print the JITTED engine's generated per-chain "
-                            "decision functions for this rule file")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(
@@ -496,8 +482,8 @@ def build_parser():
                    help="open-loop admission queue bound (default 64)")
     p.add_argument("--seed", type=int, default=0x5EA5,
                    help="stream seed (default 0x5EA5)")
-    p.add_argument("--engine", type=engine_preset, default="JITTED",
-                   help="engine preset for every worker (default JITTED)")
+    p.add_argument("--engine", type=engine_preset, default="COMPILED",
+                   help="engine preset for every worker (default COMPILED)")
     p.add_argument("--inline", action="store_true",
                    help="run sessions in-process instead of spawning "
                         "OS workers (debugging / serial reference)")

@@ -73,7 +73,7 @@ def run_table6(quick=False):
     from repro.workloads.lmbench import LMBENCH_OPS, run_table6 as grid
 
     results = grid(iterations=150 if quick else 800)
-    columns = ["DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED", "JITTED", "TRACED"]
+    columns = ["DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED", "TRACED"]
     rows = []
     for op in LMBENCH_OPS:
         base = results[op]["DISABLED"]

@@ -36,12 +36,14 @@ class ContextField(enum.IntFlag):
 #: may therefore be cached across multiple hook invocations (§4.2: "the
 #: process call stack used to find program entrypoints is valid
 #: throughout a single system call, but multiple resource requests may
-#: be made, e.g., in pathname resolution").
+#: be made, e.g., in pathname resolution").  ``SYSCALL_ARGS`` is not
+#: one of them: the ``SYSCALL_BEGIN`` operation carries ``(syscall,
+#: *args)`` while each resource operation carries its own arguments, so
+#: a value cached from one would answer wrongly for the next.
 SYSCALL_SCOPED = (
     ContextField.SUBJECT_LABEL
     | ContextField.PROGRAM
     | ContextField.ENTRYPOINT
-    | ContextField.SYSCALL_ARGS
     | ContextField.SCRIPT_ENTRYPOINT
 )
 

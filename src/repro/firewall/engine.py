@@ -18,22 +18,18 @@ CONCACHE              ``EngineConfig.concache()``
 LAZYCON               ``EngineConfig.lazycon()``
 EPTSPC                ``EngineConfig.optimized()`` (the default)
 COMPILED              ``EngineConfig.compiled()``
-JITTED                ``EngineConfig.jitted()``
 ====================  ==========================================
 
 (BASE vs FULL differ by rule-base size, not engine configuration.)
 
-The COMPILED rung extends the paper's ladder: chains pre-compile flat
+The COMPILED rung tops the paper's ladder: chains pre-compile flat
 per-``(op, entrypoint)`` dispatch tuples at first use (invalidated on
 every rule mutation), and a per-process **negative-decision cache**
 memoizes default-allow verdicts whose traversal consulted nothing
-resource- or call-dependent — see ``docs/INTERNALS.md``.
-
-The JITTED rung tops the ladder: the dispatch tuples are compiled
-into flat Python decision functions with rule constants bound in the
-closure (:mod:`repro.firewall.codegen`).  Traced or metered mediations
-fall back to the interpreted walker, so observability semantics are
-unchanged.  See ``docs/COMPILATION.md`` for the full ladder.
+resource- or call-dependent — see ``docs/INTERNALS.md``.  Both
+entrypoint-chain rungs (EPTSPC, COMPILED) also skip a ``syscallbegin``
+chain whose syscall index (``Chain.syscalls``) excludes the syscall
+being begun.  See ``docs/COMPILATION.md`` for the full ladder.
 
 The engine also hosts the :mod:`repro.obs` observability layer:
 decision traces (opt-in via :meth:`ProcessFirewall.enable_tracing`),
@@ -53,7 +49,6 @@ from typing import Dict
 from repro import errors
 from repro.firewall import targets as tg
 from repro.firewall.context import _DECISION_STABLE_INT, ContextField, ContextFrame
-from repro.firewall.codegen import JitProgram
 from repro.firewall.modules.registry import collect_field
 from repro.firewall.rule import RuleBase
 from repro.obs.audit import WARNING, AuditRing
@@ -116,6 +111,25 @@ def record_mutates(operation):
     return False
 
 
+#: Retired preset spellings, mapped to the rung that replaced them.
+#: ``"JITTED"`` (per-rule codegen) folded into COMPILED once the
+#: syscall index removed the one walk it flattened; the repo benchmark
+#: still passes that spelling.
+PRESET_ALIASES = {"JITTED": "COMPILED"}
+
+
+#: Bound once: enum class attribute lookups are slow on the hot path.
+_SYSCALL_BEGIN = Op.SYSCALL_BEGIN
+
+
+def syscall_arg0(operation):
+    """The syscall a ``SYSCALL_BEGIN`` operation begins (its
+    ``args[0]``); ``None`` for every other operation."""
+    if operation.op is _SYSCALL_BEGIN and operation.args:
+        return operation.args[0]
+    return None
+
+
 class EngineConfig:
     """Feature switches for the engine optimizations (paper §4.2-4.3)."""
 
@@ -127,7 +141,6 @@ class EngineConfig:
         "compiled_dispatch",
         "decision_cache",
         "global_traversal_state",
-        "jit_codegen",
     )
 
     def __init__(
@@ -139,7 +152,6 @@ class EngineConfig:
         compiled_dispatch=False,
         decision_cache=False,
         global_traversal_state=False,
-        jit_codegen=False,
     ):
         self.enabled = enabled
         self.context_cache = context_cache
@@ -156,11 +168,6 @@ class EngineConfig:
         #: (counted in ``stats.irq_disables``) instead of the paper's
         #: per-process state (§5.1).
         self.global_traversal_state = global_traversal_state
-        #: Walk chains through generated flat decision functions
-        #: (:mod:`repro.firewall.codegen`).  Requires (and the preset
-        #: sets) ``entrypoint_chains`` + ``compiled_dispatch``; traced
-        #: or metered mediations fall back to the interpreted walker.
-        self.jit_codegen = jit_codegen
 
     # ---- Table 6 column presets ----
 
@@ -195,18 +202,14 @@ class EngineConfig:
         return cls(compiled_dispatch=True, decision_cache=True)
 
     @classmethod
-    def jitted(cls):
-        """JITTED: COMPILED + rule codegen."""
-        return cls(compiled_dispatch=True, decision_cache=True, jit_codegen=True)
-
-    @classmethod
     def preset(cls, name):
         """Resolve a Table 6 column name to its configuration.
 
         Accepts the column spellings used across the benchmarks and the
-        service worker payloads (``"JITTED"``, ``"compiled"``, ...);
-        raises ``ValueError`` for unknown names so a typo in a worker
-        payload fails loudly instead of silently running EPTSPC.
+        service worker payloads (``"COMPILED"``, ``"eptspc"``, ...) and
+        the retired ones in :data:`PRESET_ALIASES`; raises
+        ``ValueError`` for unknown names so a typo in a worker payload
+        fails loudly instead of silently running EPTSPC.
         """
         presets = {
             "DISABLED": cls.disabled,
@@ -216,9 +219,9 @@ class EngineConfig:
             "LAZYCON": cls.lazycon,
             "EPTSPC": cls.optimized,
             "COMPILED": cls.compiled,
-            "JITTED": cls.jitted,
         }
-        factory = presets.get(str(name).upper())
+        key = str(name).upper()
+        factory = presets.get(PRESET_ALIASES.get(key, key))
         if factory is None:
             raise ValueError("unknown engine preset {!r} (expected one of {})".format(
                 name, "/".join(sorted(presets))))
@@ -346,11 +349,9 @@ class ProcessFirewall:
         #: Shared traversal stack used only in the iptables-emulation
         #: ablation (global_traversal_state).
         self._shared_traversal = []
-        #: Compiled rule program (jit_codegen); rebuilt whenever the
-        #: rule-base stamp identity changes.
-        self._jit = None
-        #: Memo of relevant top-level chains per op, keyed by rule-base
-        #: stamp (hot-path optimization for the op-index skip).  The
+        #: Memo of relevant top-level chains per op (and per syscall,
+        #: for SYSCALL_BEGIN), keyed by rule-base stamp (hot-path
+        #: optimization for the op- and syscall-index skips).  The
         #: stamp, not the bare version, so an atomically swapped rule
         #: base (persist restore) can never alias a stale memo.
         self._chain_memo = {}
@@ -402,20 +403,6 @@ class ProcessFirewall:
             self.tracer.clear()
         self._chain_memo = {}
         self._chain_memo_stamp = None
-        self._jit = None
-
-    def jit_program(self):
-        """The compiled rule program for the current rule base.
-
-        Lazily (re)built: a :class:`repro.firewall.codegen.JitProgram`
-        is pinned to one ``RuleBase.stamp`` identity, so any rule
-        mutation — including an atomically swapped restore — orphans
-        the old program along with the generated code it holds.
-        """
-        jit = self._jit
-        if jit is None or jit.stamp is not self.rules.stamp:
-            jit = self._jit = JitProgram(self)
-        return jit
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -511,10 +498,10 @@ class ProcessFirewall:
         """Evaluate the rule base; raise :class:`PFDenied` on DROP.
 
         The pipeline stages (named as in ``docs/INTERNALS.md`` and in
-        trace records): *fast_path* (op-index skip), *decision_cache*
-        (COMPILED's memoized default-allows), *context* (frame build +
-        field collection), *chain_walk* (mangle then filter), and
-        *verdict*.
+        trace records): *fast_path* (op- and syscall-index skip),
+        *decision_cache* (COMPILED's memoized default-allows),
+        *context* (frame build + field collection), *chain_walk*
+        (mangle then filter), and *verdict*.
         """
         if not self.config.enabled:
             return
@@ -526,7 +513,9 @@ class ProcessFirewall:
         if metered:
             metrics.inc("pf_mediations_total", {"op": operation.op.value})
 
-        if self.config.entrypoint_chains and not self._relevant_chains(operation.op):
+        if self.config.entrypoint_chains and not self._relevant_chains(
+            operation.op, syscall_arg0(operation)
+        ):
             # Fast path: no installed chain can match this operation.
             # Safe because the base is deny-only with default allow —
             # skipping non-matching rules cannot change the verdict.
@@ -567,18 +556,18 @@ class ProcessFirewall:
         order; nothing is raised.
 
         Amortization applies only to **runs**: maximal stretches of
-        consecutive records sharing ``(op kind, subject process)`` in
-        which no record's syscall mutates VFS or adversary state
-        (:func:`record_mutates`).  Two run shapes skip the per-record
-        engine prologue:
+        consecutive records sharing ``(op kind, subject process,
+        syscall_arg0)`` in which no record's syscall mutates VFS or
+        adversary state (:func:`record_mutates`).  Two run shapes skip
+        the per-record engine prologue:
 
         - *fast-path runs* — no installed chain is relevant to the op
-          kind, so one chain-memo probe proves the default allow for
-          the whole run;
+          kind (and, for ``SYSCALL_BEGIN``, the syscall), so one
+          chain-memo probe proves the default allow for the whole run;
         - *decision-cached runs* — the subject's negative-decision
           cache already holds an unconditional (subject-keyed) allow
-          for ``(op, subject label)`` under the current rule-base
-          stamp, so one probe covers the run.
+          for ``(op, subject label, syscall_arg0)`` under the current
+          rule-base stamp, so one probe covers the run.
 
         Runs that miss both probes still amortize per **syscall-seq
         group** (records emitted by one syscall invocation): the first
@@ -614,17 +603,19 @@ class ProcessFirewall:
             if batchable and not record_mutates(operation):
                 kind = operation.op
                 proc = operation.proc
+                nr = syscall_arg0(operation)
                 j = i + 1
                 while (
                     j < n
                     and operations[j].op is kind
                     and operations[j].proc is proc
+                    and (kind is not _SYSCALL_BEGIN or syscall_arg0(operations[j]) == nr)
                     and not record_mutates(operations[j])
                 ):
                     j += 1
                 k = j - i
                 if k >= 2:
-                    if not self._relevant_chains(kind):
+                    if not self._relevant_chains(kind, nr):
                         # One op-index probe proves the whole run.
                         stats.invocations += k
                         stats.accepts += k
@@ -635,7 +626,7 @@ class ProcessFirewall:
                         dentries = proc.pf.decision_probe(self.rules.stamp)
                         if (
                             dentries is not None
-                            and dentries.get((kind, proc.label)) is True
+                            and dentries.get((kind, proc.label, nr)) is True
                         ):
                             # One cache probe proves the whole run.
                             stats.invocations += k
@@ -668,8 +659,8 @@ class ProcessFirewall:
         subject's stack, label, and per-seq context-cache frame cannot
         change.  The group's first record runs through ``mediate()``
         untouched; if exactly one decision-cache hit resulted and the
-        cache entry for ``(op, label)`` is still present under the
-        current stamp, every remaining record in the group would
+        cache entry for ``(op, label, syscall_arg0)`` is still present
+        under the current stamp, every remaining record in the group would
         retrace that hit verbatim, so its counters are applied
         directly:
 
@@ -710,7 +701,7 @@ class ProcessFirewall:
             dentries = proc.pf.decision_probe(self.rules.stamp)
             if dentries is None:
                 continue
-            known = dentries.get((operation.op, proc.label))
+            known = dentries.get((operation.op, proc.label, syscall_arg0(operation)))
             if known is True:
                 stats.invocations += rest
                 stats.decision_cache_hits += rest
@@ -737,18 +728,21 @@ class ProcessFirewall:
         seq = operation.extra.get("syscall_seq")
 
         # Negative-decision cache probe: a previous traversal of the
-        # same (op, subject label[, entrypoint head]) under this exact
-        # rule base proved the default-allow verdict depends on nothing
-        # else — skip the walk entirely.  An entrypoint-independent hit
-        # needs no context frame at all; an entrypoint-keyed one only
-        # needs the (per-syscall-cached) stack unwind.
+        # same (op, subject label, syscall[, entrypoint head]) under
+        # this exact rule base proved the default-allow verdict depends
+        # on nothing else — skip the walk entirely.  The syscall is part
+        # of the key because the syscall index picks the chains walked:
+        # a getpid walk that skipped a chain naming getuid proves
+        # nothing about getuid.  An entrypoint-independent hit needs no
+        # context frame at all; an entrypoint-keyed one only needs the
+        # (per-syscall-cached) stack unwind.
         dkey = stamp = None
         if self.config.decision_cache and proc is not None:
             probe_started = perf_counter() if metered else 0.0
             if trace is not None:
                 trace.enter_stage(STAGE_DECISION_CACHE)
             stamp = self.rules.stamp
-            dkey = (operation.op, proc.label)
+            dkey = (operation.op, proc.label, syscall_arg0(operation))
             # A stale or absent cache is not rebuilt here: allocation
             # waits for the first recordable verdict, so uncacheable
             # workloads (and short-lived forks) pay only this probe.
@@ -814,15 +808,7 @@ class ProcessFirewall:
 
         walk_started = perf_counter() if metered else 0.0
         try:
-            if trace is None and not metered and self.config.jit_codegen:
-                # JITTED: flat generated decision functions.
-                verdict, rule = self.jit_program().traverse(operation, frame)
-            else:
-                # The interpreted walker.  Traced or metered mediations
-                # always take it, since per-rule trace records and phase
-                # timers live here; JITTED bypasses identically, so
-                # instrumented runs never drift between presets.
-                verdict, rule = self._traverse(operation, frame)
+            verdict, rule = self._traverse(operation, frame)
         finally:
             if metered:
                 metrics.observe_phase(PHASE_CHAIN_WALK, perf_counter() - walk_started)
@@ -909,32 +895,47 @@ class ProcessFirewall:
             return ("create", "input")
         return ("input",)
 
-    def _relevant_chains(self, op):
-        """Top-level chains that could match ``op`` (op-index skip).
+    def _routed_chains(self, op):
+        """Non-empty ``(table, chain)`` pairs ``op`` is routed through,
+        mangle first (marking), then filter (verdicts)."""
+        out = []
+        for table_name in ("mangle", "filter"):
+            table = self.rules.tables[table_name]
+            for chain_name in self._chains_for(op):
+                chain = table.chains.get(chain_name)
+                if chain is not None and len(chain):
+                    out.append((table, chain))
+        return out
 
-        Memoized per rule-base version: the result only changes when
+    def _relevant_chains(self, op, args0=None):
+        """Routed ``(table, chain)`` pairs that could match ``op``.
+
+        The op-index skip drops a chain no rule of which has a ``-o``
+        covering ``op``; the syscall index drops a ``syscallbegin``
+        chain whose ``Chain.syscalls`` excludes ``args0``, the syscall
+        a ``SYSCALL_BEGIN`` operation begins (:func:`syscall_arg0`).
+        Memoized per rule-base stamp: the result only changes when
         rules are installed or removed.
         """
         stamp = self.rules.stamp
         if self._chain_memo_stamp != stamp:
             self._chain_memo = {}
             self._chain_memo_stamp = stamp
-        cached = self._chain_memo.get(op)
+        key = op if args0 is None else (op, args0)
+        cached = self._chain_memo.get(key)
         if cached is not None:
             return cached
         out = []
-        for table_name in ("mangle", "filter"):
-            table = self.rules.tables[table_name]
-            for chain_name in self._chains_for(op):
-                chain = table.chains.get(chain_name)
-                if chain is None or not len(chain):
+        for table, chain in self._routed_chains(op):
+            ops = chain.relevant_ops
+            if ops is not None and op not in ops:
+                if not (op is Op.LINK_READ and Op.LNK_FILE_READ in ops):
                     continue
-                ops = chain.relevant_ops
-                if ops is not None and op not in ops:
-                    if not (op is Op.LINK_READ and Op.LNK_FILE_READ in ops):
-                        continue
-                out.append(chain)
-        self._chain_memo[op] = out
+            nrs = chain.syscalls
+            if op is _SYSCALL_BEGIN and nrs is not None and args0 not in nrs:
+                continue
+            out.append((table, chain))
+        self._chain_memo[key] = out
         return out
 
     def _traverse(self, operation, frame):
@@ -943,41 +944,37 @@ class ProcessFirewall:
         The mangle table mirrors iptables' mark-then-filter idiom: its
         rules annotate (``STATE``/``LOG``) and may ``ACCEPT`` to skip
         further mangle rules, but cannot ``DROP`` — verdicts belong to
-        the filter table (enforced at install time).
+        the filter table (enforced at install time).  With entrypoint
+        chains on, only the :meth:`_relevant_chains` are walked.
         """
         proc = operation.proc
         metered = self.metrics.enabled
-        for table_name in ("mangle", "filter"):
-            table = self.rules.tables[table_name]
-            for chain_name in self._chains_for(operation.op):
-                chain = table.chains.get(chain_name)
-                if chain is None or not len(chain):
-                    continue
-                if (
-                    self.config.entrypoint_chains
-                    and chain.relevant_ops is not None
-                    and operation.op not in chain.relevant_ops
-                    and not (operation.op is Op.LINK_READ and Op.LNK_FILE_READ in chain.relevant_ops)
-                ):
-                    continue
-                if metered:
-                    self.metrics.inc(
-                        "pf_chain_traversals_total",
-                        {"table": table_name, "chain": chain_name},
-                    )
+        if self.config.entrypoint_chains:
+            pairs = self._relevant_chains(operation.op, syscall_arg0(operation))
+        else:
+            pairs = self._routed_chains(operation.op)
+        accepted = None  # the table whose chains a mangle ACCEPT ended
+        for table, chain in pairs:
+            if table is accepted:
+                continue
+            if metered:
+                self.metrics.inc(
+                    "pf_chain_traversals_total",
+                    {"table": table.name, "chain": chain.name},
+                )
+            if proc is not None:
+                proc.pf_traversal.append(chain.name)
+            try:
+                verdict, rule = self._walk_chain(table, chain, operation, frame, depth=0)
+            finally:
                 if proc is not None:
-                    proc.pf_traversal.append(chain_name)
-                try:
-                    verdict, rule = self._walk_chain(table, chain, operation, frame, depth=0)
-                finally:
-                    if proc is not None:
-                        proc.pf_traversal.pop()
-                if verdict == tg.DROP:
+                    proc.pf_traversal.pop()
+            if verdict == tg.DROP:
+                return verdict, rule
+            if verdict == tg.ACCEPT:
+                if table.name == "filter":
                     return verdict, rule
-                if verdict == tg.ACCEPT:
-                    if table_name == "filter":
-                        return verdict, rule
-                    break  # mangle ACCEPT: stop mangle, proceed to filter
+                accepted = table  # mangle ACCEPT: stop mangle, proceed to filter
         return (tg.CONTINUE, None)
 
     def _walk_chain(self, table, chain, operation, frame, depth):

@@ -261,6 +261,13 @@ class SignalMatch(MatchModule):
         return "-m SIGNAL_MATCH"
 
 
+def _strip_nr(value):
+    """``NR_open`` names the syscall ``open``."""
+    if isinstance(value, str) and value.startswith("NR_"):
+        return value[3:]
+    return value
+
+
 class SyscallArgsMatch(MatchModule):
     """``-m SYSCALL_ARGS`` — match a positional syscall argument (R12)."""
 
@@ -275,11 +282,17 @@ class SyscallArgsMatch(MatchModule):
         args = engine.ensure(ContextField.SYSCALL_ARGS, operation, frame)
         if args is None or self.arg_index >= len(args):
             return False
-        expected = self.value.resolve(engine, operation, frame)
-        if isinstance(expected, str) and expected.startswith("NR_"):
-            expected = expected[3:]
+        expected = _strip_nr(self.value.resolve(engine, operation, frame))
         actual = args[self.arg_index]
         return (actual == expected) if self.equal else (actual != expected)
+
+    def syscall(self):
+        """The value this match requires of ``args[0]`` — for a
+        ``SYSCALL_BEGIN`` operation, the syscall — or ``None`` when it
+        pins nothing (``--nequal``, another ``--arg``, an atom operand)."""
+        if self.arg_index != 0 or not self.equal or self.value.atom is not None:
+            return None
+        return _strip_nr(self.value.literal)
 
     def render(self):
         flag = "--equal" if self.equal else "--nequal"

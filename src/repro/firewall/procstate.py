@@ -217,8 +217,8 @@ class ProcState:
 
     - :attr:`state` — the ``STATE`` match/target dictionary, a
       :class:`CowMap`;
-    - the negative-decision cache — ``(rule-base stamp, {(op, label):
-      True | {entrypoint heads}})``, stored unpacked in slots so the
+    - the negative-decision cache — ``(rule-base stamp, {(op, label,
+      syscall_arg0): True | {entrypoint heads}})``, stored unpacked in slots so the
       hot probe is two attribute loads and one ``is`` compare;
     - :attr:`context_cache` — the per-syscall context cache
       ``(syscall_seq, {field: value})``; replaced wholesale on

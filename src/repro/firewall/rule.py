@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import errors
 from repro.firewall.context import ContextField
-from repro.firewall.matches import EntrypointMatch, MatchModule, OpMatch
+from repro.firewall.matches import EntrypointMatch, MatchModule, OpMatch, SyscallArgsMatch
 from repro.firewall.targets import Target
 from repro.security.lsm import Op
 
@@ -82,6 +82,16 @@ class Rule:
                 return match.chain_key()
         return None
 
+    def syscall(self):
+        """The ``-m SYSCALL_ARGS --arg 0 --equal`` literal this rule
+        requires (``NR_`` stripped), or ``None`` when it has none."""
+        for match in self.matches:
+            if isinstance(match, SyscallArgsMatch):
+                nr = match.syscall()
+                if nr is not None:
+                    return nr
+        return None
+
     def op_filter(self):
         """The rule's ``-o`` operation, if any (for fast pre-filtering)."""
         for match in self.matches:
@@ -117,6 +127,11 @@ class Chain:
         self.preamble_by_op = {}  # type: Dict[Optional[object], List[Rule]]
         #: Operations the entrypoint buckets could match (None = all).
         self.ept_ops = set()  # type: Optional[set]
+        #: Syscall index: the ``SYSCALL_ARGS --arg 0 --equal`` literals
+        #: of every rule (None = some rule names none).  For a
+        #: ``syscallbegin`` chain, ``args[0]`` is the syscall, so one
+        #: outside this set cannot match any rule.
+        self.syscalls = set()  # type: Optional[set]
         #: Compiled dispatch lists: ``(op, entrypoint_key)`` -> flat
         #: rule tuple, filled lazily and discarded on every mutation.
         #: Key ``(op, None)`` holds the op-filtered preamble alone;
@@ -158,6 +173,11 @@ class Chain:
             self.relevant_ops = None  # a rule without -o matches any operation
         elif self.relevant_ops is not None:
             self.relevant_ops.add(rule_op)
+        nr = rule.syscall()
+        if nr is None:
+            self.syscalls = None
+        elif self.syscalls is not None:
+            self.syscalls.add(nr)
 
     def _reindex(self):
         """Rebuild every index from :attr:`rules`: reset, then index each."""
@@ -166,6 +186,7 @@ class Chain:
         self.preamble_by_op = {}
         self.relevant_ops = set()
         self.ept_ops = set()
+        self.syscalls = set()
         self._compiled = {}
         for rule in self.rules:
             self._index(rule)

@@ -99,7 +99,7 @@ class SessionRunner:
         self.worker_id = init.get("worker_id", 0)
         self.collect_audit = init.get("collect_audit", True)
         self.session = Session(
-            engine=init.get("engine", "JITTED"),
+            engine=init.get("engine", "COMPILED"),
             rules=init.get("rules_text"),
             world=init.get("world", "service"),
             metered=init.get("metered", False),

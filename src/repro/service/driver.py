@@ -70,7 +70,10 @@ def run_service(
 
     ``rules_text`` defaults to the service rule base
     (:func:`~repro.workloads.generators.service_rules_text`).
-    ``engine`` is any :func:`repro.api.resolve_engine` spelling.
+    ``engine`` is any :func:`repro.api.resolve_engine` spelling; the
+    default, the retired spelling ``"JITTED"``, builds COMPILED through
+    :data:`repro.firewall.engine.PRESET_ALIASES` and matches the worker
+    init the repo benchmark (``repobench/``) passes.
     ``processes=False`` runs inline (the serial reference when
     ``workers=1``).  ``mode="open"`` requires ``offered_rate``, a finite
     rate above zero (sessions/s; anything else is a ``ValueError``); see

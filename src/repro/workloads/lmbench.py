@@ -13,6 +13,7 @@ import gc
 import time
 
 from repro.api import Session
+from repro.firewall.engine import PRESET_ALIASES
 from repro.rulesets.generated import install_full_rulebase
 
 #: Table 6 column -> (engine preset, full rules?, instrumented?).
@@ -31,7 +32,6 @@ TABLE6_COLUMNS = {
     "LAZYCON": ("LAZYCON", True, False),
     "EPTSPC": ("EPTSPC", True, False),
     "COMPILED": ("COMPILED", True, False),
-    "JITTED": ("JITTED", True, False),
     "TRACED": ("COMPILED", True, True),
 }
 
@@ -44,7 +44,7 @@ class LmbenchSuite:
     """One configured world plus the nine operations."""
 
     def __init__(self, column="DISABLED", rule_count=None):
-        preset, full_rules, instrumented = TABLE6_COLUMNS[column]
+        preset, full_rules, instrumented = TABLE6_COLUMNS[PRESET_ALIASES.get(column, column)]
         self.column = column
         rules = None
         if full_rules:
@@ -132,10 +132,10 @@ def time_operation(fn, iterations=2000, warmup=50):
     """Average microseconds per call (steady-state, GC-quiesced).
 
     The warmup pass populates every lazy memo (dispatch tuples,
-    generated code, context caches) before the clock starts, and the
-    collector is disabled around the timed loop so a GC cycle landing
-    inside one cell's measurement cannot masquerade as an engine
-    effect.  The caller's GC state is restored afterwards.
+    context caches) before the clock starts, and the collector is
+    disabled around the timed loop so a GC cycle landing inside one
+    cell's measurement cannot masquerade as an engine effect.  The
+    caller's GC state is restored afterwards.
     """
     for _ in range(warmup):
         fn()

@@ -8,7 +8,7 @@ apples-to-apples comparisons, exposed as a tool:
         ...  # run the workload
     trace.save("workload.trace.json")
 
-    other = Session(engine="JITTED", rules=rules_text).kernel
+    other = Session(engine="COMPILED", rules=rules_text).kernel
     replay(other, Trace.load("workload.trace.json"),
            {1: spawn_root_shell(other)})
 

@@ -26,8 +26,10 @@ def test_resolve_engine_none_is_optimized():
 
 
 def test_resolve_engine_preset_string_case_insensitive():
-    expected = _config_dict(EngineConfig.preset("JITTED"))
-    assert _config_dict(resolve_engine("JITTED")) == expected
+    expected = _config_dict(EngineConfig.compiled())
+    assert _config_dict(resolve_engine("COMPILED")) == expected
+    assert _config_dict(resolve_engine("compiled")) == expected
+    # The retired JITTED spelling is an alias of COMPILED.
     assert _config_dict(resolve_engine("jitted")) == expected
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import errors
+from repro.api import Session
 from repro.firewall.context import ContextField, ContextFrame, SYSCALL_SCOPED, field_scope
 from repro.firewall.modules.registry import CONTEXT_MODULES, collect_field
 from repro.proc.stack import BinaryImage
@@ -35,6 +37,9 @@ class TestFrame:
         assert field_scope(ContextField.ENTRYPOINT) == "syscall"
         assert field_scope(ContextField.OBJECT_LABEL) == "operation"
         assert field_scope(ContextField.RESOURCE_ID) == "operation"
+        # Each operation carries its own args (SYSCALL_BEGIN adds the
+        # syscall), so they are never cached across operations.
+        assert field_scope(ContextField.SYSCALL_ARGS) == "operation"
 
     def test_syscall_scoped_extraction(self):
         frame = ContextFrame()
@@ -144,3 +149,20 @@ class TestModules:
         assert frame.has(ContextField.ENTRYPOINT)
         assert stats.context_collections["ENTRYPOINT"] == 1
         assert stats.context_cost >= CONTEXT_MODULES[ContextField.ENTRYPOINT].cost
+
+
+@pytest.mark.parametrize("preset", ["FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED"])
+def test_resource_rule_sees_its_own_syscall_args(preset):
+    """A ``syscallbegin`` rule that reads ``SYSCALL_ARGS`` must not leak
+    the begin operation's ``(syscall, *args)`` into a later resource
+    operation of the same syscall: every rung, cached or cold, drops
+    the path the input rule names."""
+    session = Session(engine=preset, rules=[
+        "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_stat -j LOG",
+        "pftables -A input -m SYSCALL_ARGS --arg 0 --equal /etc/shadow -j DROP",
+    ])
+    shell = session.spawn("sh", binary_path="/bin/sh")
+    with pytest.raises(errors.PFDenied):
+        session.sys.stat(shell, "/etc/shadow")
+    session.sys.stat(shell, "/etc/passwd")
+    assert len(session.firewall.audit.records(kind="log")) == 2

@@ -94,7 +94,6 @@ def test_optimizations_do_not_change_verdicts(rules, frames):
         EngineConfig.lazycon,
         EngineConfig.optimized,
         EngineConfig.compiled,
-        EngineConfig.jitted,
     ):
         assert verdicts(rules, factory(), frames) == reference
 

@@ -24,7 +24,7 @@ from tests.mediation_replay import replay_mediations, reset_mediation_state
 def _world(config=None):
     kernel = build_world()
     kernel.audit_enabled = False
-    firewall = ProcessFirewall(config or EngineConfig.jitted())
+    firewall = ProcessFirewall(config or EngineConfig.compiled())
     kernel.attach_firewall(firewall)
     install_full_rulebase(firewall)
     return kernel, firewall, spawn_root_shell(kernel)
@@ -101,6 +101,40 @@ def test_homogeneous_run_is_bulked_and_identical(length):
     # the run is 50 or 1,500 long.
     reset_mediation_state(firewall)
     assert _count_mediate_calls(firewall, batch) == BULK_PATH_MEDIATE_CALLS
+
+
+def test_syscallbegin_runs_split_by_syscall():
+    """A ``SYSCALL_BEGIN`` run bulks only while the syscall stays the
+    same: ``getuid``, which a rule names, must not ride on the
+    fast-path probe of ``getpid``, which none does."""
+    kernel, firewall, root = _world()
+    firewall.install(
+        "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_getuid -j LOG --prefix uid")
+    operations = _capture(kernel, firewall, lambda k: [
+        call(root) for call in (k.sys.getpid, k.sys.getuid) * 3])
+    assert [op.syscall for op in operations] == ["getpid", "getuid"] * 3
+    _differential(firewall, operations)
+    assert len(firewall.audit.records(kind="log")) == 3
+
+
+def test_decision_cached_run_is_keyed_by_syscall():
+    """A ``getpid`` walk that the syscall index kept out of the filter
+    chain naming ``getuid`` caches an allow for ``getpid`` only: the
+    ``getuid`` run that follows must not bulk on that entry."""
+    kernel = build_world()
+    kernel.audit_enabled = False
+    firewall = ProcessFirewall(EngineConfig.compiled())
+    kernel.attach_firewall(firewall)
+    firewall.install_all([
+        "pftables -t mangle -A syscallbegin -s etc_t -j LOG --prefix m",
+        "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_getuid -j LOG --prefix uid",
+    ])
+    root = spawn_root_shell(kernel)
+    operations = _capture(kernel, firewall, lambda k: [
+        call(root) for call in (k.sys.getpid, k.sys.getuid, k.sys.getuid)])
+    assert [op.syscall for op in operations] == ["getpid", "getuid", "getuid"]
+    _differential(firewall, operations)
+    assert len(firewall.audit.records(kind="log")) == 2
 
 
 def test_mutating_records_split_runs_and_fall_back():
@@ -181,8 +215,10 @@ def test_record_mutates_classification():
 
 
 def test_engine_config_preset_resolution():
-    assert EngineConfig.preset("JITTED").jit_codegen
     assert EngineConfig.preset("compiled").compiled_dispatch
+    jitted = EngineConfig.preset("JITTED")  # retired spelling, kept as an alias
+    assert all(getattr(jitted, name) == getattr(EngineConfig.compiled(), name)
+               for name in EngineConfig.__slots__)
     assert not EngineConfig.preset("DISABLED").enabled
     with pytest.raises(ValueError):
         EngineConfig.preset("TURBO")

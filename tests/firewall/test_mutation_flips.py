@@ -19,6 +19,8 @@ WRITABLE_DROP = "pftables -A input -o FILE_OPEN -m ADVERSARY --writable -j DROP"
 TMP_LABEL_DROP = "pftables -A input -o FILE_OPEN -d tmp_t -j DROP"
 
 
+# "JITTED" is the retired spelling the repo benchmark still passes; it
+# must resolve to a working COMPILED engine.
 @pytest.fixture(params=["EPTSPC", "COMPILED", "JITTED"])
 def preset(request):
     return request.param

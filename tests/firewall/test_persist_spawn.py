@@ -27,21 +27,20 @@ def describe_rules_in_child(conn, payload):
     ``pickled_rules`` (a pickled ``RuleBase``) or ``rules_text``
     (``save_rules`` output) — and reports the rule-base stamp,
     per-table chain order with rendered rule text, the re-serialized
-    ``save_rules`` text, and whether JIT codegen rebuilds cleanly
-    against the transported rules.
+    ``save_rules`` text, and the per-chain syscall index the
+    transported rules carry.
     """
     try:
-        firewall = ProcessFirewall(resolve_engine(payload.get("config", "JITTED")))
+        firewall = ProcessFirewall(resolve_engine(payload.get("config", "COMPILED")))
         if payload.get("pickled_rules") is not None:
             firewall.rules = pickle.loads(payload["pickled_rules"])
         else:
             load_rules(firewall, payload["rules_text"])
-        jit = firewall.jit_program()
         result = ("ok", {
             "stamp": tuple(firewall.rules.stamp),
             "chains": _expected_chains(firewall),
             "rules_text": save_rules(firewall),
-            "jit_rebuilt": jit is not None and jit.stamp is firewall.rules.stamp,
+            "syscalls": _syscall_index(firewall),
         })
     except BaseException:
         result = ("error", traceback.format_exc())
@@ -52,9 +51,17 @@ def describe_rules_in_child(conn, payload):
 
 
 def _reference_firewall():
-    firewall = ProcessFirewall(EngineConfig.jitted())
+    firewall = ProcessFirewall(EngineConfig.compiled())
     install_full_rulebase(firewall)
     return firewall
+
+
+def _syscall_index(firewall):
+    return {
+        (table_name, chain_name): chain.syscalls
+        for table_name, table in firewall.rules.tables.items()
+        for chain_name, chain in table.chains.items()
+    }
 
 
 def _expected_chains(firewall):
@@ -92,8 +99,8 @@ def test_rulebase_survives_spawn_boundary():
     rules_text = save_rules(firewall)
     expected_chains = _expected_chains(firewall)
     via_text, via_pickle = _probe_in_children([
-        {"config": "JITTED", "rules_text": rules_text},
-        {"config": "JITTED", "pickled_rules": pickle.dumps(firewall.rules)},
+        {"config": "COMPILED", "rules_text": rules_text},
+        {"config": "COMPILED", "pickled_rules": pickle.dumps(firewall.rules)},
     ])
 
     # Chain order and per-rule text must be preserved verbatim by both
@@ -101,10 +108,11 @@ def test_rulebase_survives_spawn_boundary():
     for report in (via_text, via_pickle):
         assert report["chains"] == expected_chains
         assert report["rules_text"] == rules_text
-        # The child's JIT program must rebuild against the transported
-        # rules and share their identity stamp (the hot path compares
-        # stamps by ``is``, so a stale program would disable codegen).
-        assert report["jit_rebuilt"] is True
+        # Both transports must carry the syscall index: a lost entry
+        # would skip the sigreturn rule, a wildcard would walk it on
+        # every syscall.
+        assert report["syscalls"] == _syscall_index(firewall)
+    assert _syscall_index(firewall)[("filter", "syscallbegin")] == {"sigreturn"}
 
     # A pickled RuleBase keeps its (uid, version) stamp value exactly;
     # the text restore builds a fresh instance, whose uid must differ
@@ -119,7 +127,7 @@ def test_text_round_trip_is_stable_in_parent():
     process is already exact, so any spawn failure is transport."""
     firewall = _reference_firewall()
     text = save_rules(firewall)
-    other = ProcessFirewall(EngineConfig.jitted())
+    other = ProcessFirewall(EngineConfig.compiled())
     load_rules(other, text)
     assert save_rules(other) == text
     assert _expected_chains(other) == _expected_chains(firewall)

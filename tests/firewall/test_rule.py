@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import errors
+from repro.api import Session
+from repro.attacks.exploits import EXPLOITS
 from repro.firewall import matches as mm
 from repro.firewall import targets as tg
 from repro.firewall.context import ContextField
-from repro.firewall.engine import ProcessFirewall
+from repro.firewall.engine import EngineConfig, ProcessFirewall
 from repro.firewall.persist import save_rules
 from repro.firewall.pftables import parse_rule
 from repro.firewall.rule import TABLES, Chain, Rule, RuleBase, Table
-from repro.rulesets.generated import generate_full_rulebase
+from repro.rulesets.generated import generate_full_rulebase, install_full_rulebase
 from repro.security.lsm import Op
 
 
@@ -257,7 +259,8 @@ class TestTableAndBase:
 
 #: Rule shapes for the incremental-index differential: preamble rules
 #: with and without ``-o`` (incl. the LINK_READ alias target), bucketed
-#: rules with and without ``-o``, and a field-only STATE rule.
+#: rules with and without ``-o``, a field-only STATE rule, and the
+#: SYSCALL_ARGS shapes the syscall index keeps or widens on.
 DIFF_RULES = [
     "pftables -o FILE_OPEN -j DROP",
     "pftables -o LNK_FILE_READ -s SYSHIGH -j DROP",
@@ -267,10 +270,15 @@ DIFF_RULES = [
     "pftables -i 0x10 -p /bin/x -d tmp_t -j DROP",
     "pftables -i 0x20 -p /bin/x -o FILE_READ -j DROP",
     "pftables -i 0x20 -p /bin/x -o LNK_FILE_READ -j DROP",
+    "pftables -m SYSCALL_ARGS --arg 0 --equal NR_sigreturn -j DROP",
+    "pftables -m SYSCALL_ARGS --arg 0 --equal NR_getpid -j DROP",
+    "pftables -m SYSCALL_ARGS --arg 0 --nequal NR_open -j DROP",
+    "pftables -m SYSCALL_ARGS --arg 1 --equal 0x7 -j DROP",
+    "pftables -m SYSCALL_ARGS --arg 0 --equal C_SUBJECT -j DROP",
 ]
 DIFF_OPS = [Op.FILE_OPEN, Op.FILE_READ, Op.LNK_FILE_READ, Op.LINK_READ, Op.FILE_GETATTR]
 DIFF_KEYS = [None, ("/bin/x", 0x10), ("/bin/x", 0x20)]
-DIFF_CHAINS = ["input", "output"]
+DIFF_CHAINS = ["input", "output", "syscallbegin"]
 
 DIFF_STEP = st.one_of(
     st.tuples(st.just("A"), st.sampled_from(DIFF_CHAINS), st.sampled_from(DIFF_RULES)),
@@ -298,6 +306,22 @@ def _op_set(rules):
     return None if None in ops else ops
 
 
+def _syscall_set(rules):
+    """The syscall index from scratch: every rule's ``--arg 0 --equal``
+    literal, or ``None`` once one rule has none."""
+    out = set()
+    for each in rules:
+        literals = [
+            m.value.literal for m in each.matches
+            if isinstance(m, mm.SyscallArgsMatch)
+            and m.arg_index == 0 and m.equal and m.value.atom is None
+        ]
+        if not literals:
+            return None
+        out.add(literals[0][3:] if literals[0].startswith("NR_") else literals[0])
+    return out
+
+
 def _assert_index_matches_full_reindex(chain):
     ref = _reindexed(chain)
     assert chain.preamble == ref.preamble
@@ -305,6 +329,8 @@ def _assert_index_matches_full_reindex(chain):
     assert list(chain.by_entrypoint.items()) == list(ref.by_entrypoint.items())
     assert chain.relevant_ops == ref.relevant_ops
     assert chain.ept_ops == ref.ept_ops
+    assert chain.syscalls == ref.syscalls
+    assert chain.syscalls == _syscall_set(chain.rules)
     # Both paths share _index(), so also check the op sets from scratch.
     bucketed = [r for r in chain.rules if r.entrypoint_key() is not None]
     assert chain.relevant_ops == _op_set(chain.rules)
@@ -347,6 +373,85 @@ class TestIncrementalIndex:
             assert accumulated == base.recompute_required_fields()
             for each in table.chains.values():
                 _assert_index_matches_full_reindex(each)
+
+    R12 = "pftables -m SYSCALL_ARGS --arg 0 --equal NR_sigreturn -j STATE --set --key 'sig' --value 0"
+
+    def test_syscall_index_collects_equal_literals(self):
+        chain = Chain("syscallbegin")
+        assert chain.syscalls == set()
+        chain.append(rule(self.R12))
+        chain.append(rule("pftables -m SYSCALL_ARGS --arg 0 --equal getpid -j DROP"))
+        assert chain.syscalls == {"sigreturn", "getpid"}
+
+    @pytest.mark.parametrize("text", [
+        "pftables -m SYSCALL_ARGS --arg 0 --nequal NR_getpid -j DROP",
+        "pftables -m SYSCALL_ARGS --arg 1 --equal NR_getpid -j DROP",
+        "pftables -m SYSCALL_ARGS --arg 0 --equal C_SUBJECT -j DROP",
+        "pftables -s unconfined_t -j DROP",
+    ], ids=["nequal", "arg1", "atom", "no-syscall-args"])
+    def test_syscall_index_widens_on_a_rule_without_literal(self, text):
+        chain = Chain("syscallbegin")
+        chain.append(rule(self.R12))
+        wide = rule(text)
+        chain.append(wide)
+        assert chain.syscalls is None
+        chain.delete(wide)
+        assert chain.syscalls == {"sigreturn"}
+
+    @pytest.mark.parametrize("preset", ["EPTSPC", "COMPILED"])
+    def test_unnamed_syscall_takes_the_fast_path(self, preset):
+        """Under the full rule base only R12 sits in ``syscallbegin``,
+        so ``getpid`` evaluates no rule and collects no context."""
+        session = Session(engine=preset, rules=install_full_rulebase)
+        firewall = session.firewall
+        proc = session.spawn("sh", binary_path="/bin/sh")
+        stats = firewall.stats
+
+        def counters():
+            return (stats.rules_evaluated, dict(stats.context_collections),
+                    stats.decision_cache_hits)
+
+        for _ in range(2):
+            before = counters()
+            session.sys.getpid(proc)
+            assert counters() == before
+        tracer = firewall.enable_tracing()
+        session.sys.getpid(proc)
+        assert tracer.last().stages == ["fast_path", "verdict"]
+        assert tracer.last().verdict == "ALLOW"
+
+    @pytest.mark.parametrize("preset", ["EPTSPC", "COMPILED"])
+    def test_walk_skips_the_chain_the_index_excludes(self, preset):
+        """The mangle chain names ``getpid``, the filter chain only
+        ``sigreturn``: each syscall walks its own chain alone."""
+        session = Session(engine=preset, rules=[
+            "pftables -t mangle -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_getpid "
+            "-j STATE --set --key 'seen' --value 1",
+            "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_sigreturn "
+            "-j STATE --set --key 'sig' --value 0",
+        ])
+        proc = session.spawn("sh", binary_path="/bin/sh")
+        stats = session.firewall.stats
+        session.sys.getpid(proc)
+        assert stats.rules_evaluated == 1 and proc.pf.state["seen"] == 1
+        session.sys.sigreturn(proc)
+        assert stats.rules_evaluated == 2
+        session.sys.getuid(proc)
+        assert stats.rules_evaluated == 2
+
+    @pytest.mark.parametrize("preset", ["EPTSPC", "COMPILED"])
+    def test_sigreturn_still_evaluates_r12(self, preset):
+        session = Session(engine=preset, rules=install_full_rulebase)
+        firewall = session.firewall
+        proc = session.spawn("sh", binary_path="/bin/sh")
+        proc.pf.state["sig"] = 1
+        before = firewall.stats.rules_evaluated
+        session.sys.sigreturn(proc)
+        assert firewall.stats.rules_evaluated == before + 1
+        assert firewall.stats.context_collections["SYSCALL_ARGS"] >= 1
+        assert proc.pf.state["sig"] == 0
+        result = EXPLOITS["E5"]().run(with_firewall=True, config=EngineConfig.preset(preset))
+        assert result.blocked and not result.succeeded
 
 
 class TestLinearInstall:

@@ -47,7 +47,7 @@ def _assert_batched_identical(firewall, operations):
 
 
 def _captured_scenario_stream(scenario, mode):
-    """Run one scenario arm under JITTED, capturing its operation
+    """Run one scenario arm under COMPILED, capturing its operation
     stream through the instrument hook; returns (firewall, ops)."""
     holder = {}
     with contextlib.ExitStack() as stack:
@@ -56,7 +56,7 @@ def _captured_scenario_stream(scenario, mode):
             holder["ops"] = stack.enter_context(record_mediations(firewall))
 
         getattr(scenario, mode)(with_firewall=True,
-                                config=EngineConfig.jitted(),
+                                config=EngineConfig.compiled(),
                                 instrument=instrument)
     return holder["firewall"], holder["ops"]
 
@@ -107,7 +107,7 @@ def _mutation_workload(kernel, proc, rng):
 def test_randomized_mutation_batches_identical(seed):
     kernel = build_world()
     kernel.audit_enabled = False
-    firewall = ProcessFirewall(EngineConfig.jitted())
+    firewall = ProcessFirewall(EngineConfig.compiled())
     kernel.attach_firewall(firewall)
     install_full_rulebase(firewall)
     shell = spawn_root_shell(kernel)

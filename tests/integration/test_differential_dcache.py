@@ -70,7 +70,7 @@ def _scenario_observables(scenario_cls, instrument):
     out = {}
     scenario = scenario_cls()
     result = scenario.run(
-        with_firewall=True, config=EngineConfig.jitted(), instrument=instrument
+        with_firewall=True, config=EngineConfig.compiled(), instrument=instrument
     )
     out["attack"] = (result.succeeded, result.blocked, result.denied)
     out["attack_stats"] = _pinned_stats(scenario.firewall.stats)
@@ -79,7 +79,7 @@ def _scenario_observables(scenario_cls, instrument):
     out["attack_audit"] = _kernel_audit(scenario.kernel)
     benign = scenario_cls()
     out["benign"] = benign.run_benign(
-        with_firewall=True, config=EngineConfig.jitted(), instrument=instrument
+        with_firewall=True, config=EngineConfig.compiled(), instrument=instrument
     )
     out["benign_stats"] = _pinned_stats(benign.firewall.stats)
     out["benign_audit"] = _kernel_audit(benign.kernel)
@@ -99,7 +99,7 @@ def test_dcache_actually_engaged_in_scenarios():
     hits = 0
     for eid in sorted(EXPLOITS):
         scenario = EXPLOITS[eid]()
-        scenario.run(with_firewall=True, config=EngineConfig.jitted())
+        scenario.run(with_firewall=True, config=EngineConfig.compiled())
         dc = scenario.kernel.dcache
         assert dc.enabled
         hits += dc.walks.hits + dc.dentries.hits
@@ -136,7 +136,7 @@ def _replay_observables(dcache_on):
     target.dcache.enabled = dcache_on
     from repro.firewall.engine import ProcessFirewall
 
-    firewall = ProcessFirewall(EngineConfig.jitted())
+    firewall = ProcessFirewall(EngineConfig.compiled())
     target.attach_firewall(firewall)
     install_full_rulebase(firewall)
     target_shell = spawn_root_shell(target)
@@ -224,7 +224,7 @@ def test_save_rules_roundtrip_unaffected_by_dcache():
     world = build_world()
     from repro.firewall.engine import ProcessFirewall
 
-    firewall = ProcessFirewall(EngineConfig.jitted())
+    firewall = ProcessFirewall(EngineConfig.compiled())
     world.attach_firewall(firewall)
     install_full_rulebase(firewall)
     text = save_rules(firewall)

@@ -1,25 +1,21 @@
-"""Differential harness: the JITTED engine must be invisible (S3).
+"""Differential harness: the retired "JITTED" preset spelling.
 
-Per-rule codegen plus the resource-context cache are engine-internal
-optimizations; nothing observable may change versus the interpreted
-rungs.  Three probes:
+Per-rule codegen is gone; the spelling "JITTED" survives only as an
+alias to COMPILED (``repro.firewall.engine.PRESET_ALIASES``) because
+the repo benchmark still passes it.  Whatever a caller asks for under
+that name must behave exactly like the rungs it sits beside:
 
-1. Every Table 4 exploit (E1–E9) runs attack + benign under EPTSPC,
-   COMPILED and JITTED — identical outcomes, verdict counters, and log
-   records.  Against COMPILED the bar is higher: the generated code
-   walks the same rules in the same order, so ``rules_evaluated``,
-   ``cache_hits`` and ``decision_cache_hits`` are pinned too.
-2. A recorded macro workload replays under all three — same story.
-3. Randomized rule bases (seeded, spanning label / entrypoint /
-   adversary / syscall-arg matches) drive a fixed probe workload under
-   all three configurations — identical verdict streams.
+1. Every Table 4 exploit (E1–E9) runs attack + benign under EPTSPC and
+   the "JITTED" preset — identical outcomes, verdict counters and log
+   records.
+2. A recorded macro workload replays under EPTSPC, COMPILED and
+   "JITTED" — identical against EPTSPC, and pinned to COMPILED down to
+   the walk-shape counters, since the alias must build that very
+   configuration.
 """
-
-import random
 
 import pytest
 
-from repro import errors
 from repro.attacks.exploits import EXPLOITS
 from repro.firewall.engine import EngineConfig, ProcessFirewall
 from repro.rulesets.generated import install_full_rulebase
@@ -29,7 +25,7 @@ from repro.world import build_world, spawn_root_shell
 CONFIGS = {
     "EPTSPC": EngineConfig.optimized,
     "COMPILED": EngineConfig.compiled,
-    "JITTED": EngineConfig.jitted,
+    "JITTED": lambda: EngineConfig.preset("JITTED"),
 }
 
 
@@ -43,16 +39,13 @@ def _loose_stats(stats):
 
 
 def _pinned_stats(stats):
-    """Counters comparable between COMPILED and JITTED: the generated
-    code must walk the same rules in the same order and hit the same
-    per-frame/decision caches as the interpreted compiled-dispatch
-    walker.  ``context_collections`` is deliberately absent — avoiding
-    repeat collections is the resource-context cache's entire job, so
-    that counter legitimately *shrinks* under JITTED."""
+    """Counters comparable between two builds of one configuration:
+    the same rules walked in the same order, hitting the same caches."""
     return _loose_stats(stats) + (
         stats.rules_evaluated,
         stats.cache_hits,
         stats.decision_cache_hits,
+        stats.context_collections,
     )
 
 
@@ -74,13 +67,6 @@ def _scenario_observables(scenario_cls, config, stats_fn):
 def test_exploits_identical_under_jitted_engine(eid):
     reference = _scenario_observables(EXPLOITS[eid], CONFIGS["EPTSPC"], _loose_stats)
     jitted = _scenario_observables(EXPLOITS[eid], CONFIGS["JITTED"], _loose_stats)
-    assert jitted == reference
-
-
-@pytest.mark.parametrize("eid", sorted(EXPLOITS))
-def test_exploits_pin_jitted_to_compiled(eid):
-    reference = _scenario_observables(EXPLOITS[eid], CONFIGS["COMPILED"], _pinned_stats)
-    jitted = _scenario_observables(EXPLOITS[eid], CONFIGS["JITTED"], _pinned_stats)
     assert jitted == reference
 
 
@@ -138,93 +124,6 @@ def test_recorded_workload_identical_and_pinned():
     assert jitted == compiled
     assert reference["executed"] > 20
     assert reference["stats"][0] > 0
-    # Not vacuous: the replay really ran through generated code.
-    assert firewall._jit is not None and firewall._jit.sources
-
-
-# ---------------------------------------------------------------------------
-# randomized rule bases
-# ---------------------------------------------------------------------------
-
-_LABELS = ["etc_t", "tmp_t", "lib_t", "shadow_t", "var_t"]
-_OPS = ["FILE_OPEN", "FILE_READ", "FILE_GETATTR", "DIR_SEARCH"]
-_OFFSETS = [0x10, 0x20, 0x30]
-_SYSCALLS = ["stat", "open", "getpid", "read"]
-_PROBE_PATHS = [
-    "/etc/passwd",
-    "/etc/shadow",
-    "/lib/libc.so.6",
-    "/tmp/world-writable",
-    "/tmp/private",
-]
-
-
-def _random_rules(rng):
-    """A deny-only rule base spanning every jittable match module."""
-    rules = []
-    for _ in range(rng.randint(2, 8)):
-        kind = rng.choice(("label", "entry", "adversary", "sysarg"))
-        if kind == "sysarg":
-            rules.append(
-                "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_{} "
-                "-j DROP".format(rng.choice(_SYSCALLS))
-            )
-            continue
-        parts = ["pftables -A input"]
-        if rng.random() < 0.8:
-            parts.append("-o {}".format(rng.choice(_OPS)))
-        if kind == "entry":
-            parts.append("-i {:#x} -p /bin/sh".format(rng.choice(_OFFSETS)))
-        if kind == "adversary":
-            parts.append("-m ADVERSARY --{}".format(rng.choice(("writable", "readable"))))
-        else:
-            label = rng.choice(_LABELS)
-            negate = rng.random() < 0.3
-            parts.append("-d {}{}".format("~" if negate else "",
-                                          "{" + label + "}" if negate else label))
-        parts.append("-j DROP")
-        rules.append(" ".join(parts))
-    return rules
-
-
-def _verdict_stream(rules, config):
-    """Build a world with adversary-accessible files, install ``rules``
-    and record the verdict of every probe access."""
-    world = build_world()
-    firewall = ProcessFirewall(config())
-    world.attach_firewall(firewall)
-    firewall.install_all(rules)
-    proc = world.spawn("sh", uid=0, label="unconfined_t", binary_path="/bin/sh")
-    world.add_file("/tmp/world-writable", b"x", uid=1000, mode=0o666, label="tmp_t")
-    world.add_file("/tmp/private", b"x", uid=0, mode=0o600, label="tmp_t")
-    for offset in _OFFSETS[:2]:
-        proc.call(proc.binary, offset)
-    stream = []
-    for _round in range(2):  # second round exercises every cache
-        for path in _PROBE_PATHS:
-            for syscall in ("stat", "open"):
-                try:
-                    if syscall == "stat":
-                        world.sys.stat(proc, path)
-                    else:
-                        fd = world.sys.open(proc, path)
-                        world.sys.close(proc, fd)
-                    stream.append((syscall, path, "allow"))
-                except errors.PFDenied:
-                    stream.append((syscall, path, "drop"))
-                except errors.KernelError as exc:
-                    stream.append((syscall, path, type(exc).__name__))
-    return stream, _pinned_stats(firewall.stats), _strip_time(firewall.audit.records(kind="log"))
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_randomized_rule_bases_agree(seed):
-    rules = _random_rules(random.Random(seed))
-    eptspc = _verdict_stream(rules, CONFIGS["EPTSPC"])
-    compiled = _verdict_stream(rules, CONFIGS["COMPILED"])
-    jitted = _verdict_stream(rules, CONFIGS["JITTED"])
-    # Verdict streams and logs agree across all three rungs.
-    assert compiled[0] == eptspc[0] and jitted[0] == eptspc[0]
-    assert compiled[2] == eptspc[2] and jitted[2] == eptspc[2]
-    # COMPILED vs JITTED additionally pins the walk-shape counters.
-    assert jitted[1] == compiled[1]
+    # Not vacuous: the alias really built the COMPILED configuration.
+    assert firewall.config.compiled_dispatch and firewall.config.decision_cache
+    assert firewall.stats.decision_cache_hits > 0

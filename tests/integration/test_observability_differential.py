@@ -53,8 +53,7 @@ def _scenario_observables(scenario_cls, config, instrument):
 
 @pytest.mark.parametrize("config_name,config",
                          [("EPTSPC", EngineConfig.optimized),
-                          ("COMPILED", EngineConfig.compiled),
-                          ("JITTED", EngineConfig.jitted)])
+                          ("COMPILED", EngineConfig.compiled)])
 @pytest.mark.parametrize("eid", sorted(EXPLOITS))
 def test_exploits_identical_with_observability_on(eid, config_name, config):
     bare = _scenario_observables(EXPLOITS[eid], config, instrument=None)

@@ -8,7 +8,7 @@ from repro.workloads.generators import generate_stream, service_rules_text
 
 @pytest.fixture(scope="module")
 def init():
-    return {"engine": "JITTED", "rules_text": service_rules_text()}
+    return {"engine": "COMPILED", "rules_text": service_rules_text()}
 
 
 def test_inline_pool_runs_synchronously_but_holds_window_slots(init):

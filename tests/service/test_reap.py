@@ -14,7 +14,7 @@ def rules_text():
 
 def _runner(rules_text):
     return SessionRunner({
-        "engine": "JITTED",
+        "engine": "COMPILED",
         "rules_text": rules_text,
         "worker_id": 0,
     })

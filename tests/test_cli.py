@@ -199,8 +199,8 @@ class TestEngineFlag:
     """``serve`` checks ``--engine``, ``--workers`` and ``--rate`` at parse time."""
 
     @pytest.mark.parametrize("flag,value,fragments", [
-        ("--engine", "TABLED", ["unknown engine preset 'TABLED'", "EPTSPC", "JITTED"]),
-        ("--engine", "bogus", ["unknown engine preset 'bogus'", "EPTSPC", "JITTED"]),
+        ("--engine", "TABLED", ["unknown engine preset 'TABLED'", "EPTSPC", "COMPILED"]),
+        ("--engine", "bogus", ["unknown engine preset 'bogus'", "EPTSPC", "COMPILED"]),
         ("--workers", "0", ["argument --workers: must be at least 1"]),
         ("--workers", "-1", ["argument --workers: must be at least 1"]),
         ("--rate", "-5", ["argument --rate: must be a finite rate above 0"]),
@@ -225,4 +225,4 @@ class TestEngineFlag:
 
         args = build_parser().parse_args(["serve", "--engine", "compiled"])
         assert args.engine == "compiled"
-        assert build_parser().parse_args(["serve"]).engine == "JITTED"
+        assert build_parser().parse_args(["serve"]).engine == "COMPILED"

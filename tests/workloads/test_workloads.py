@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.firewall.engine import PRESET_ALIASES
 from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite, TABLE6_COLUMNS, time_operation
 from repro.workloads.macro import MacrobenchSuite, TABLE7_CONFIGS
 from repro.workloads.openbench import FIGURE4_PATH_LENGTHS, syscall_counts, time_variant
@@ -9,7 +10,8 @@ from repro.workloads.webbench import apache_requests_per_second
 
 
 class TestLmbench:
-    @pytest.mark.parametrize("column", sorted(TABLE6_COLUMNS))
+    # Retired spellings (PRESET_ALIASES) stay accepted as columns.
+    @pytest.mark.parametrize("column", sorted(set(TABLE6_COLUMNS) | set(PRESET_ALIASES)))
     def test_all_ops_run_under_every_column(self, column):
         suite = LmbenchSuite(column, rule_count=60)
         for name, fn in suite.operations():

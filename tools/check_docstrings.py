@@ -31,7 +31,6 @@ CHECKED_MODULES = [
     "repro.obs.metrics",
     "repro.obs.trace",
     "repro.firewall.engine",
-    "repro.firewall.codegen",
     "repro.firewall.procstate",
     "repro.parallel",
     "repro.parallel.merge",
