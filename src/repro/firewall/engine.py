@@ -766,8 +766,7 @@ class ProcessFirewall:
                             metrics.inc("pf_verdicts_total", {"verdict": "allow"})
                         return
                     frame = self._new_frame(proc, seq, trace)
-                    entries = self.ensure(ContextField.ENTRYPOINT, operation, frame)
-                    if (entries[0] if entries else None) in known:
+                    if self.ensure(ContextField.ENTRYPOINT, operation, frame) in known:
                         self.stats.decision_cache_hits += 1
                         self.stats.accepts += 1
                         if trace is not None:
@@ -854,8 +853,7 @@ class ProcessFirewall:
             # the mutation below never leaks into a relative.
             wentries = proc.pf.decision_writable(stamp)
             if frame.used_entrypoint:
-                entries = frame.get(ContextField.ENTRYPOINT)
-                head = entries[0] if entries else None
+                head = frame.get(ContextField.ENTRYPOINT)
                 known = wentries.get(dkey)
                 if known is None:
                     wentries[dkey] = {head}
@@ -1001,9 +999,9 @@ class ProcessFirewall:
                         or (op is Op.LINK_READ and Op.LNK_FILE_READ in ept_ops)
                     )
                     if wanted:
-                        entries = self.ensure(ContextField.ENTRYPOINT, operation, frame)
-                        if entries and entries[0] in chain.by_entrypoint:
-                            ept_key = entries[0]
+                        head = self.ensure(ContextField.ENTRYPOINT, operation, frame)
+                        if head in chain.by_entrypoint:
+                            ept_key = head
                 sequences = (chain.dispatch(op, ept_key),)
                 prefiltered = True
             else:
@@ -1021,11 +1019,11 @@ class ProcessFirewall:
                         or (op is Op.LINK_READ and Op.LNK_FILE_READ in ept_ops)
                     )
                     if wanted:
-                        entries = self.ensure(ContextField.ENTRYPOINT, operation, frame)
-                        if entries:
-                            bucket = chain.by_entrypoint.get(entries[0])
-                            if bucket:
-                                sequences.append(bucket)
+                        bucket = chain.by_entrypoint.get(
+                            self.ensure(ContextField.ENTRYPOINT, operation, frame)
+                        )
+                        if bucket:
+                            sequences.append(bucket)
         else:
             sequences = [chain.rules]
 

@@ -136,11 +136,8 @@ class EntrypointMatch(MatchModule):
         self.offset = offset
 
     def matches(self, engine, operation, frame):
-        entries = engine.ensure(ContextField.ENTRYPOINT, operation, frame)
-        if not entries:
-            return False
-        path, rel_pc = entries[0]
-        return path == self.program and rel_pc == self.offset
+        head = engine.ensure(ContextField.ENTRYPOINT, operation, frame)
+        return head == (self.program, self.offset)
 
     def render(self):
         return "-p {} -i {:#x}".format(self.program, self.offset)
@@ -316,10 +313,10 @@ class ScriptMatch(MatchModule):
         self.line = None if line is None else int(str(line), 0)
 
     def matches(self, engine, operation, frame):
-        entries = engine.ensure(ContextField.SCRIPT_ENTRYPOINT, operation, frame)
-        if not entries:
+        head = engine.ensure(ContextField.SCRIPT_ENTRYPOINT, operation, frame)
+        if not head:
             return False
-        path, line = entries[0]
+        path, line = head
         if path != self.file:
             return False
         return self.line is None or line == self.line

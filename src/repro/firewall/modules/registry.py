@@ -1,10 +1,11 @@
 """The context-module registry.
 
 Each module implements ``collect(operation, kernel) -> value``.  Modules
-touching process memory (the entrypoint module) must be defensive: a
+touching process memory (the entrypoint modules) must be defensive: a
 forged or corrupted user stack aborts collection gracefully, yielding an
-empty value — per the paper §4.4, a malicious process "only affects its
-own protection".
+empty value ``()`` — per the paper §4.4, a malicious process "only
+affects its own protection".  An entrypoint value is the stack's head
+(the innermost resolvable call site), not the whole walk.
 """
 
 from __future__ import annotations
@@ -62,24 +63,27 @@ def _program(operation, kernel):
 
 
 def _entrypoint(operation, kernel):
-    """Unwind the user stack into ``((image_path, rel_pc), ...)``.
+    """The innermost resolvable call site: ``(image_path, rel_pc)``.
 
-    Innermost frame first.  Frames that do not map into any image
-    (forged PCs) are skipped; a corrupted frame at any depth aborts the
-    unwind and yields ``()`` — frames recovered above it are discarded,
-    and no exception escapes (paper §4.4).
+    The whole stack is unwound and validated first, so a corrupted
+    frame at any depth inside the frame cap aborts collection and
+    yields ``()`` — frames recovered above it are discarded, and no
+    exception escapes (paper §4.4).  Frames are then resolved innermost
+    first and resolution stops at the first one that maps into an
+    image: forged PCs above it are skipped, and frames below it are
+    never resolved, because every consumer (``-i`` matches, the §4.3
+    entrypoint buckets, the decision-cache head, ``LOG`` records) reads
+    only this head.  ``()`` when no frame maps.
     """
-    proc = operation.proc
     try:
-        frames = proc.stack.unwind()
+        frames = operation.proc.stack.unwind()
     except errors.EFAULT:
         return ()
-    entries = []
     for frame in frames:
-        entry = frame.entrypoint()
-        if entry is not None:
-            entries.append(entry)
-    return tuple(entries)
+        head = frame.entrypoint()
+        if head is not None:
+            return head
+    return ()
 
 
 def _adv_writable(operation, kernel):
@@ -143,11 +147,12 @@ def _obj_identity(operation, kernel):
 
 
 def _script_entrypoint(operation, kernel):
-    """Unwind the interpreter (script-level) stack, innermost first.
+    """The innermost script-level call site: ``(script_path, line)``.
 
-    Returns ``((script_path, line), ...)`` — empty for native programs
-    or when the script stack is corrupted (same degrade-to-nothing
-    discipline as the native unwinder, paper §4.4).
+    The whole interpreter stack is unwound and validated first; ``()``
+    for native programs, empty script stacks, or when the script stack
+    is corrupted (same degrade-to-nothing discipline as the native
+    unwinder, paper §4.4).
     """
     stack = getattr(operation.proc, "script_stack", None)
     if stack is None:
@@ -156,7 +161,7 @@ def _script_entrypoint(operation, kernel):
         frames = stack.unwind()
     except errors.EFAULT:
         return ()
-    return tuple(frame.entrypoint() for frame in frames)
+    return frames[0].entrypoint() if frames else ()
 
 
 #: field -> module.  Costs reflect the paper's observation that the

@@ -131,14 +131,14 @@ class LogTarget(Target):
         # A log record is an externally visible side effect — never
         # memoize a traversal that emitted one.
         frame.decision_unsafe = True
-        entries = engine.ensure(ContextField.ENTRYPOINT, operation, frame)
+        head = engine.ensure(ContextField.ENTRYPOINT, operation, frame)
         record = {
             "prefix": self.prefix,
             "time": engine.kernel.clock.now() if engine.kernel else 0,
             "pid": operation.proc.pid,
             "comm": operation.proc.comm,
             "program": engine.ensure(ContextField.PROGRAM, operation, frame),
-            "entrypoint": list(entries[0]) if entries else None,
+            "entrypoint": list(head) if head else None,
             "op": operation.op.value,
             "path": operation.path,
             "object_label": engine.ensure(ContextField.OBJECT_LABEL, operation, frame),
@@ -149,8 +149,8 @@ class LogTarget(Target):
         # Interpreted programs also log the script-level call site, so
         # rule generation can emit -m SCRIPT rules.
         if getattr(operation.proc, "script_stack", None) is not None:
-            script_entries = engine.ensure(ContextField.SCRIPT_ENTRYPOINT, operation, frame)
-            record["script"] = list(script_entries[0]) if script_entries else None
+            script_head = engine.ensure(ContextField.SCRIPT_ENTRYPOINT, operation, frame)
+            record["script"] = list(script_head) if script_head else None
         engine.audit.emit(record, severity=self.level, kind="log")
         return (CONTINUE, None)
 

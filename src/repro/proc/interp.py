@@ -36,6 +36,7 @@ class ScriptFrame:
         self.function = function
 
     def entrypoint(self):
+        """Return ``(script_path, line)``: the script-level call site."""
         return (self.path, self.line)
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -57,31 +58,46 @@ class InterpreterStack:
         self.infinite = False
 
     def push(self, path, line, function=""):
+        """Script call: push a frame for ``path:line``; return it."""
         frame = ScriptFrame(path, line, function=function)
         self._frames.append(frame)
         return frame
 
     def pop(self):
+        """Script return: pop and return the innermost frame."""
         if not self._frames:
             raise errors.EFAULT("pop on empty script stack")
         return self._frames.pop()
 
     @property
     def depth(self):
+        """Number of frames on the script stack."""
         return len(self._frames)
 
     def top(self):
+        """The innermost frame, or ``None`` on an empty stack."""
         return self._frames[-1] if self._frames else None
 
     def unwind(self, max_frames=None):
         """Defensive unwind, innermost first (see UserStack.unwind)."""
         cap = max_frames or self.MAX_UNWIND_FRAMES
+        if self.infinite:
+            return self._unwind_looping(cap)
+        frames = self._frames
+        limit = len(frames) if len(frames) < cap else cap
+        corrupt_below = self.corrupt_below
+        if corrupt_below is not None and corrupt_below < limit:
+            raise errors.EFAULT("corrupted script frame at depth {}".format(corrupt_below))
+        return frames[:-limit - 1:-1]
+
+    def _unwind_looping(self, cap):
+        """The unwind of a looping script stack: recycles frames up to ``cap``."""
         out = []
         source = list(reversed(self._frames))
         i = 0
         while True:
             if i >= len(source):
-                if self.infinite and source:
+                if source:
                     i = 0
                 else:
                     return out

@@ -46,6 +46,7 @@ class BinaryImage:
         self.interpreter = interpreter
 
     def contains(self, pc):
+        """Whether the absolute ``pc`` lies inside this mapping."""
         return self.base <= pc < self.base + self.size
 
     def rel(self, pc):
@@ -84,9 +85,13 @@ class Frame:
 
     def entrypoint(self):
         """Return ``(binary_path, relative_pc)`` or ``None`` if unmapped."""
-        if self.image is None or not self.image.contains(self.pc):
+        image = self.image
+        if image is None:
             return None
-        return (self.image.path, self.image.rel(self.pc))
+        rel = self.pc - image.base
+        if 0 <= rel < image.size:
+            return (image.path, rel)
+        return None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         where = self.image.path if self.image else "?"
@@ -100,7 +105,9 @@ class UserStack:
     return; the firewall unwinds via :meth:`unwind`, which enforces a
     frame cap and validates frame pointers, aborting cleanly on forged
     stacks (which, per the paper, only removes the forger's own
-    protection).
+    protection).  The entrypoint context module validates the whole
+    capped unwind this way but resolves only its head: frames are
+    mapped to images innermost first, stopping at the first that maps.
     """
 
     #: Paper §4.4: "sets an upper limit on the number of stack frames".
@@ -116,20 +123,24 @@ class UserStack:
         self.infinite = False
 
     def push(self, pc, image=None, function=""):
+        """Call: push a frame whose return PC is ``pc``; return it."""
         frame = Frame(pc, image=image, function=function)
         self._frames.append(frame)
         return frame
 
     def pop(self):
+        """Return: pop and return the innermost frame."""
         if not self._frames:
             raise errors.EFAULT("pop on empty user stack")
         return self._frames.pop()
 
     @property
     def depth(self):
+        """Number of frames on the stack."""
         return len(self._frames)
 
     def top(self):
+        """The innermost frame, or ``None`` on an empty stack."""
         return self._frames[-1] if self._frames else None
 
     def frames(self):
@@ -139,28 +150,38 @@ class UserStack:
     def unwind(self, max_frames=None):
         """Defensively unwind, innermost first.
 
-        Returns a list of :class:`Frame`.  Honours the frame cap (DoS
-        guard) and raises :class:`repro.errors.EFAULT` when a corrupted
-        frame is hit, which callers must treat as "no context available"
-        rather than a fatal error.
+        Returns a list of at most ``max_frames`` (default
+        :attr:`MAX_UNWIND_FRAMES`) :class:`Frame` objects.  Honours the
+        frame cap (DoS guard) and raises :class:`repro.errors.EFAULT`
+        when a corrupted frame lies inside the capped walk
+        (``corrupt_below < min(depth, cap)``), which callers must treat
+        as "no context available" rather than a fatal error.
         """
         cap = max_frames or self.MAX_UNWIND_FRAMES
+        if self.infinite:
+            return self._unwind_looping(cap)
+        frames = self._frames
+        limit = len(frames) if len(frames) < cap else cap
+        corrupt_below = self.corrupt_below
+        if corrupt_below is not None and corrupt_below < limit:
+            raise errors.EFAULT("corrupted frame at depth {}".format(corrupt_below))
+        # The innermost ``limit`` frames, reversed, in one slice.
+        return frames[:-limit - 1:-1]
+
+    def _unwind_looping(self, cap):
+        """The unwind of a looping stack: recycles frames up to ``cap``."""
         out = []
         source = list(reversed(self._frames))
         i = 0
         while True:
-            if self.infinite and len(out) >= cap:
-                return out
-            if i >= len(source):
-                if self.infinite:
-                    # Recycle frames to simulate a looping unwind.
-                    i = 0
-                    if not source:
-                        return out
-                    continue
-                return out
             if len(out) >= cap:
                 return out
+            if i >= len(source):
+                # Recycle frames to simulate a looping unwind.
+                i = 0
+                if not source:
+                    return out
+                continue
             if self.corrupt_below is not None and i >= self.corrupt_below:
                 raise errors.EFAULT("corrupted frame at depth {}".format(i))
             out.append(source[i])

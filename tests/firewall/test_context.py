@@ -83,22 +83,22 @@ class TestModules:
         assert CONTEXT_MODULES[ContextField.PROGRAM].collect(op, world) == "/usr/bin/apache2"
 
     def test_entrypoint_innermost_first(self, world, proc):
+        """The value is the head: the innermost call site only."""
         proc.call(proc.binary, 0x100, "outer")
         proc.call(proc.binary, 0x200, "inner")
         op = file_operation(world, proc)
-        entries = CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world)
-        assert entries[0] == ("/usr/bin/apache2", 0x200)
-        assert entries[1] == ("/usr/bin/apache2", 0x100)
+        head = CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world)
+        assert head == ("/usr/bin/apache2", 0x200)
 
     @pytest.mark.parametrize("valid_below", [(), (0x100, 0x200)])
     def test_entrypoint_skips_forged_frames(self, world, proc, valid_below):
-        """A forged head frame is skipped; valid frames beneath it are
-        still reported, innermost first."""
+        """A forged head frame is skipped; the innermost valid frame
+        beneath it becomes the head (``()`` when there is none)."""
         for offset in valid_below:
             proc.call(proc.binary, offset)
         proc.stack.push(0xDEAD)  # no image
         op = file_operation(world, proc)
-        expected = tuple(("/usr/bin/apache2", offset) for offset in reversed(valid_below))
+        expected = ("/usr/bin/apache2", valid_below[-1]) if valid_below else ()
         assert CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world) == expected
 
     @pytest.mark.parametrize("corrupt_below", [0, 1, 2])
@@ -114,15 +114,15 @@ class TestModules:
 
     @pytest.mark.parametrize("offsets", [(0x100,), (0x100, 0x200, 0x300)])
     def test_entrypoint_infinite_stack_bounded(self, world, proc, offsets):
-        """A looping unwind is capped, and the innermost frame still
-        comes first."""
+        """A looping unwind is capped, and the innermost frame is still
+        the head."""
         for offset in offsets:
             proc.call(proc.binary, offset)
         proc.stack.infinite = True
         op = file_operation(world, proc)
-        entries = CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world)
-        assert len(entries) <= proc.stack.MAX_UNWIND_FRAMES
-        assert entries[0] == ("/usr/bin/apache2", offsets[-1])
+        head = CONTEXT_MODULES[ContextField.ENTRYPOINT].collect(op, world)
+        assert len(proc.stack.unwind()) == proc.stack.MAX_UNWIND_FRAMES
+        assert head == ("/usr/bin/apache2", offsets[-1])
 
     def test_adversary_writable(self, world, proc):
         world.add_file("/tmp/loose", mode=0o666)

@@ -22,16 +22,21 @@ class TestTable6Shape:
     @pytest.fixture(scope="class")
     def timings(self):
         columns = ["DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC"]
-        out = {}
-        for column in columns:
-            suite = LmbenchSuite(column, rule_count=400)
-            # Best-of-3: the shape assertions compare medians-of-means,
-            # and a single noisy round under full-suite load can flip
-            # close comparisons.
-            out[column] = {
-                "stat": min(time_operation(suite.op_stat, iterations=300, warmup=30) for _ in range(3)),
-                "null": min(time_operation(suite.op_null, iterations=300, warmup=30) for _ in range(3)),
-            }
+        suites = {column: LmbenchSuite(column, rule_count=400) for column in columns}
+        out = {column: {} for column in columns}
+        # Best-of-3: the shape assertions compare medians-of-means,
+        # and a single noisy round under full-suite load can flip
+        # close comparisons.  The repeats are interleaved: each one
+        # times every column, rotating which goes first, so a shift in
+        # host speed lands on every column instead of only the one
+        # that happened to be running.
+        for r in range(3):
+            for k in range(len(columns)):
+                column = columns[(r + k) % len(columns)]
+                suite = suites[column]
+                for op, fn in (("stat", suite.op_stat), ("null", suite.op_null)):
+                    sample = time_operation(fn, iterations=300, warmup=30)
+                    out[column][op] = min(sample, out[column].get(op, sample))
         return out
 
     def test_full_is_worst_for_stat(self, timings):

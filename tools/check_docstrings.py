@@ -24,7 +24,8 @@ import inspect
 import sys
 
 #: Modules whose public surface must be fully documented: the
-#: observability layer plus the engine that hosts it.
+#: observability layer plus the engine that hosts it, and the stack
+#: unwinders and context modules that entrypoint collection runs.
 CHECKED_MODULES = [
     "repro.obs",
     "repro.obs.audit",
@@ -43,6 +44,9 @@ CHECKED_MODULES = [
     "repro.service.wire",
     "repro.workloads.generators",
     "repro.vfs.dcache",
+    "repro.proc.stack",
+    "repro.proc.interp",
+    "repro.firewall.modules.registry",
 ]
 
 

@@ -41,6 +41,11 @@ HOT_MODULES = [
     "repro/vfs/file.py",
     "repro/firewall/engine.py",
     "repro/firewall/procstate.py",
+    "repro/firewall/matches.py",
+    "repro/firewall/targets.py",
+    "repro/firewall/modules/registry.py",
+    "repro/proc/stack.py",
+    "repro/proc/interp.py",
     "repro/security/dac.py",
     "repro/security/lsm.py",
     "repro/security/selinux.py",
