@@ -42,6 +42,13 @@ class Op(enum.Enum):
     PROCESS_SIGNAL_DELIVERY = "PROCESS_SIGNAL_DELIVERY"
     SYSCALL_BEGIN = "SYSCALL_BEGIN"
 
+    #: Members are singletons compared by identity, so the C-level
+    #: identity hash is exact and spares every ``OP_CLASS``/``OP_PERM``,
+    #: ``relevant_ops`` and decision-cache probe the Python-level
+    #: ``enum.Enum.__hash__``.  Unpickling yields the same member, so a
+    #: hash never crosses a process boundary.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name):
         """Resolve a rule-language operation name, honouring aliases."""

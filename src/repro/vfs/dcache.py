@@ -20,23 +20,28 @@ Two caches, one invariant:
 - :class:`WalkCache` — whole-resolution memo keyed
   ``(path, follow_final, want_parent, start)`` holding the final
   :class:`~repro.vfs.namei.ResolvedPath` *plus* its recorded step
-  list, valid only under the generation stamp captured at record time
-  (:meth:`Dcache.walk_stamp`: VFS namespace generation,
-  mount generation, adversary epoch).  On a hit the walker **replays
-  every recorded step to the observer**, so LSM + Process Firewall
-  mediation order, counts, and deny points are byte-identical to a
-  cold walk — per-component defenses (rule R8, ``safe_open_PF``) see
-  every ``LOOKUP``/``SYMLINK_FOLLOW``, and a ``PFDenied`` raised
-  mid-replay aborts exactly where the cold walk would.  Verdicts are
-  never memoized: DAC, MAC, and firewall rules re-run live on every
-  hit, which is why a ``chmod`` needs no invalidation at all.
+  list.  Each entry also records the directories its walk looked a
+  name up in (its ``LOOKUP`` steps), and a reverse index maps each
+  such directory to the walks that searched it, so a namespace
+  mutation drops exactly the walks that could now resolve
+  differently.  On a hit the walker **replays every recorded step to
+  the observer**, so LSM + Process Firewall mediation order, counts,
+  and deny points are byte-identical to a cold walk — per-component
+  defenses (rule R8, ``safe_open_PF``) see every
+  ``LOOKUP``/``SYMLINK_FOLLOW``, and a ``PFDenied`` raised mid-replay
+  aborts exactly where the cold walk would.  Verdicts are never
+  memoized: DAC, MAC, and firewall rules re-run live on every hit,
+  which is why a ``chmod`` needs no invalidation at all.
 
 What *does* invalidate (the full matrix lives in ``docs/DCACHE.md``):
-``create``/``link``/``unlink``/``rmdir``/``rename``/``symlink`` bump
-``FileSystem.ns_gen`` and drop their dentry entry; ``relabel`` bumps
-``ns_gen``; ``remount`` bumps ``mount_generation`` and clears both
-caches; registering a new adversary UID bumps the adversary epoch.
-Any stamp change drops every cached walk before the next fetch.
+``create``/``link``/``unlink``/``rmdir``/``rename``/``symlink`` drop
+their dentry entry and the walks that looked a name up in the changed
+directory (:meth:`Dcache.entry_changed`).  The rare global events
+still drop every cached walk through the generation stamp captured at
+record time (:meth:`Dcache.walk_stamp`): ``relabel`` bumps
+``FileSystem.ns_gen``; ``remount`` bumps ``mount_generation`` and
+clears both caches; registering a new adversary UID bumps the
+adversary epoch.
 
 Counters are plain ints (zero-overhead when nobody reads them),
 surfaced by ``pfctl counters`` and exportable into a metrics registry
@@ -46,12 +51,14 @@ as the ``pf_dcache_total{cache=...,result=...}`` family via
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro import errors
-from repro.vfs.namei import ResolvedPath
+from repro.vfs.namei import ResolvedPath, WalkEvent
 
 _MISSING = object()
+
+_LOOKUP = WalkEvent.LOOKUP
 
 #: A cached negative dentry ("this name does not exist here").
 _NEGATIVE = None
@@ -130,39 +137,56 @@ class DentryCache:
 class WalkCache:
     """Whole-resolution memo: key -> recorded :class:`ResolvedPath`.
 
-    All entries share one validity stamp (captured when the cache was
-    last cleared); the first fetch after any stamp change clears the
-    cache wholesale.  This is coarser than the dentry cache's per-key
-    precision but exactly as safe, and it keeps a hit down to one
-    stamp compare plus one dict probe.  Only *successful* resolutions
-    are memoized — error walks re-run cold, which trivially preserves
-    their observable behavior.
+    Invalidation is per directory.  Each stored walk records the
+    directories it looked a name up in, as ``(ino, generation)``
+    pairs, and a reverse index maps each pair to the keys that
+    searched it; :meth:`invalidate_dir` drops exactly those walks
+    when one of the directory's entries changes.  The generation in
+    the pair means a recycled directory inode number never matches
+    the walks recorded under the inode it replaced.  The rare global
+    events (relabel, remount, adversary growth) change the validity
+    stamp instead, and the first fetch after a stamp change clears the
+    cache wholesale.  A hit stays one stamp compare plus one dict
+    probe: dependencies are only touched on store and invalidation.
+    Only *successful* resolutions are memoized — error walks re-run
+    cold, which trivially preserves their observable behavior.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "invalidations", "_stamp", "_entries")
+    __slots__ = ("capacity", "hits", "misses", "invalidations", "_stamp", "_entries",
+                 "_searched", "_searchers")
 
     def __init__(self, capacity=4096):
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
+        #: Invalidation events that dropped at least one walk.
         self.invalidations = 0
         self._stamp = None  # type: Optional[Tuple[int, int, int]]
         self._entries = {}  # type: Dict[tuple, ResolvedPath]
+        #: key -> the ``(ino, generation)`` of each directory it searched.
+        self._searched = {}  # type: Dict[tuple, frozenset]
+        #: ``(ino, generation)`` -> keys of the walks that searched it.
+        self._searchers = {}  # type: Dict[Tuple[int, int], Set[tuple]]
 
     def __len__(self):
         return len(self._entries)
 
     def clear(self):
         """Drop every entry and forget the stamp."""
-        self._entries.clear()
+        self._drop_all()
         self._stamp = None
+
+    def _drop_all(self):
+        self._entries.clear()
+        self._searched.clear()
+        self._searchers.clear()
 
     def _revalidate(self, stamp):
         """Adopt ``stamp``, clearing entries recorded under an old one."""
         if stamp != self._stamp:
             if self._entries:
                 self.invalidations += 1
-                self._entries.clear()
+                self._drop_all()
             self._stamp = stamp
 
     def fetch(self, key, stamp):
@@ -180,19 +204,56 @@ class WalkCache:
 
         The cache keeps its own :class:`ResolvedPath` with the step
         list frozen to a tuple, so neither the original caller nor a
-        replay consumer can mutate the recorded walk.
+        replay consumer can mutate the recorded walk.  The directories
+        of its ``LOOKUP`` steps (the final ``want_parent`` lookup
+        included) enter the reverse index.
         """
         self._revalidate(stamp)
-        if len(self._entries) >= self.capacity:
-            self._entries.clear()
-        self._entries[key] = ResolvedPath(
+        entries = self._entries
+        if key in entries:
+            self._forget(key)
+        elif len(entries) >= self.capacity:
+            self._drop_all()
+        steps = tuple(resolved.steps)
+        entries[key] = ResolvedPath(
             resolved.inode,
             resolved.parent,
             resolved.name,
             resolved.path,
-            tuple(resolved.steps),
+            steps,
             resolved.symlinks_followed,
         )
+        searched = self._searched[key] = frozenset(
+            (step.inode.ino, step.inode.generation) for step in steps if step.event is _LOOKUP
+        )
+        searchers = self._searchers
+        for directory in searched:
+            searchers.setdefault(directory, set()).add(key)
+
+    def invalidate_dir(self, directory):
+        """Drop every walk that looked a name up in ``directory``.
+
+        ``directory`` is the changed directory's ``(ino, generation)``.
+        Each dropped walk's key also leaves the reverse-index set of
+        every other directory it searched, so neither a dead entry nor
+        a dead key outlives its walk.
+        """
+        keys = self._searchers.get(directory)
+        if keys is None:
+            return
+        self.invalidations += 1
+        for key in tuple(keys):
+            self._forget(key)
+
+    def _forget(self, key):
+        """Remove ``key``'s entry and its reverse-index references."""
+        del self._entries[key]
+        searchers = self._searchers
+        for directory in self._searched.pop(key):
+            keys = searchers[directory]
+            keys.discard(key)
+            if not keys:
+                del searchers[directory]
 
 
 class Dcache:
@@ -228,9 +289,10 @@ class Dcache:
     def walk_stamp(self):
         """Validity stamp for memoized resolutions.
 
-        ``(ns_gen, mount_generation, adversary epoch)`` — any namespace
-        mutation, mount-table change, or adversary-population growth
-        yields a fresh tuple, dropping every cached walk.
+        ``(ns_gen, mount_generation, adversary epoch)`` — a relabel,
+        mount-table change, or adversary-population growth yields a
+        fresh tuple, dropping every cached walk.  Entry-level namespace
+        mutations go through :meth:`entry_changed` instead.
         """
         fs = self.fs
         adversaries = self.adversaries
@@ -252,9 +314,11 @@ class Dcache:
     # invalidation surface (filesystem mutation hooks)
     # ------------------------------------------------------------------
 
-    def dentry_invalidate(self, dir_ino, name):
-        """Precise invalidation for one changed directory entry."""
-        self.dentries.invalidate(dir_ino, name)
+    def entry_changed(self, dir_inode, name):
+        """One directory entry changed: drop its dentry and the walks
+        that looked a name up in ``dir_inode``."""
+        self.dentries.invalidate(dir_inode.ino, name)
+        self.walks.invalidate_dir((dir_inode.ino, dir_inode.generation))
 
     def clear(self):
         """Wholesale reset of both caches (remount / explicit flush)."""

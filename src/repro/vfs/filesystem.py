@@ -28,13 +28,13 @@ class FileSystem:
         #: mount can place any object under new ancestry, so every
         #: cached resolution is suspect after one.
         self.mount_generation = 0
-        #: Namespace generation: bumped by every mutation that can
-        #: change what a pathname resolves to (create / link / unlink /
-        #: rmdir / rename / symlink / relabel).  The walk-replay cache
-        #: (:mod:`repro.vfs.dcache`) stamps every memoized resolution
-        #: with this counter, so a namespace mutation anywhere drops
-        #: every cached walk — the precise analogue of the dentry
-        #: cache's per-entry invalidation, at whole-resolution grain.
+        #: Namespace generation: bumped only by :meth:`relabel`.  Part
+        #: of the walk-replay cache's stamp (:mod:`repro.vfs.dcache`),
+        #: so a relabel drops every cached walk.  Entry-level mutations
+        #: (create / link / unlink / rmdir / rename / symlink) leave it
+        #: alone: they report the changed directory through
+        #: :meth:`_namespace_changed`, which drops only the cached
+        #: walks that searched it.
         self.ns_gen = 0
         #: Optional :class:`repro.vfs.dcache.Dcache` receiving precise
         #: per-entry invalidations from the mutation paths below.
@@ -44,18 +44,19 @@ class FileSystem:
         """Wire a :class:`repro.vfs.dcache.Dcache` into the mutation hooks.
 
         Every namespace mutation below then invalidates exactly the
-        dentry entries it obsoletes (and the remount hook clears the
-        caches wholesale).  Returns the dcache for chaining.
+        dentry entry it obsoletes and the cached walks that searched
+        the changed directory (and the remount hook clears the caches
+        wholesale).  Returns the dcache for chaining.
         """
         self.dcache = dcache
         return dcache
 
     def _namespace_changed(self, dir_inode, name):
-        """One directory entry changed: bump the stamp, drop the dentry."""
-        self.ns_gen += 1
+        """One directory entry changed: drop its dentry and the walks
+        that searched ``dir_inode``."""
         dcache = self.dcache
         if dcache is not None:
-            dcache.dentry_invalidate(dir_inode.ino, name)
+            dcache.entry_changed(dir_inode, name)
 
     # ------------------------------------------------------------------
     # directory-level primitives

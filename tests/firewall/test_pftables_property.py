@@ -4,9 +4,13 @@ For any rule the strategy can express: parse -> render -> reparse must
 be a fixed point (same render, same match structure, same decisions).
 """
 
+import shlex
+import string
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.firewall.pftables import parse_rule
+from repro.firewall.pftables import parse_rule, tokenize
 
 LABELS = st.sampled_from(["tmp_t", "etc_t", "lib_t", "shadow_t", "usr_t"])
 OPS = st.sampled_from(["FILE_OPEN", "FILE_READ", "DIR_SEARCH", "LNK_FILE_READ", "SOCKET_BIND"])
@@ -88,3 +92,34 @@ def test_required_fields_stable_across_roundtrip(text):
     rendered = parsed.rule.render()
     reparsed = parse_rule("pftables -A {} {}".format(parsed.chain, rendered))
     assert reparsed.rule.required_fields == parsed.rule.required_fields
+
+
+#: Rule-line characters plus every character class on which ``str.split``
+#: and shlex could disagree: quotes, comment and escape characters, form
+#: feed, vertical tab, ASCII separators, NBSP and non-ASCII letters.
+TOKEN_CHARS = st.sampled_from(
+    list(string.printable) + ["'", '"', "#", "\\", "\x0b", "\x0c", "\x1c", "\x1f",
+                              "\xa0", "\u2003", "\xe9", "\x00"]
+)
+
+
+def _shlex_outcome(text):
+    try:
+        return shlex.split(text, posix=False)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.text(TOKEN_CHARS, max_size=60), st.text(max_size=60), rule_line()))
+def test_tokenize_equals_shlex(text):
+    try:
+        tokens = tokenize(text)
+    except ValueError as exc:
+        tokens = ValueError, str(exc)
+    assert tokens == _shlex_outcome(text)
+
+
+def test_tokenize_unclosed_quote_raises_like_shlex():
+    with pytest.raises(ValueError, match="No closing quotation"):
+        tokenize("-A input -m STATE --key 'sig -j DROP")

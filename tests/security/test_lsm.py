@@ -1,5 +1,7 @@
 """LSM dispatch and operation records."""
 
+import pickle
+
 import pytest
 
 from repro import errors
@@ -74,6 +76,22 @@ class TestOpNames:
         for op in Op:
             assert op in OP_CLASS
             assert op in OP_PERM
+
+
+class TestOpHash:
+    def test_hash_is_identity(self):
+        assert Op.__hash__ is object.__hash__
+        assert len({hash(op) for op in Op}) == len(Op)
+
+    @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+    def test_pickle_round_trip_keeps_member_and_dict_slot(self, protocol):
+        slots = {op: index for index, op in enumerate(Op)}
+        loaded = pickle.loads(pickle.dumps((list(Op), slots), protocol=protocol))
+        members, loaded_slots = loaded
+        for index, (op, back) in enumerate(zip(Op, members)):
+            assert back is op and hash(back) == hash(op)
+            assert slots[back] == index and loaded_slots[op] == index
+            assert OP_CLASS[back] == OP_CLASS[op] and OP_PERM[back] == OP_PERM[op]
 
 
 class TestOperation:

@@ -13,6 +13,7 @@ import pytest
 from repro import errors
 from repro.kernel import Kernel
 from repro.vfs.dcache import Dcache, DentryCache, WalkCache
+from repro.vfs.file import OpenFlags
 from repro.vfs.inode import FileType
 
 
@@ -291,8 +292,113 @@ class TestInvalidationMatrix:
         with pytest.raises(errors.ENOENT):
             _resolve(kernel, "/etc/empty")
 
+    def test_unrelated_create_and_rename_keep_cached_walk(self, kernel):
+        """A change in /var/www drops nothing /etc/passwd's walk searched."""
+        passwd = _resolve(kernel, "/etc/passwd").inode
+        www = kernel.lookup("/var/www")
+        hits = kernel.dcache.walks.hits
+        inval = kernel.dcache.walks.invalidations
+        kernel.fs.create(www, "new", FileType.REG)
+        kernel.fs.rename(www, "new", www, "renamed")
+        assert _resolve(kernel, "/etc/passwd").inode is passwd
+        assert kernel.dcache.walks.hits == hits + 1
+        assert kernel.dcache.walks.invalidations == inval
+
+    def test_create_drops_only_walks_that_searched_the_directory(self, kernel):
+        _resolve(kernel, "/etc/passwd")
+        _resolve(kernel, "/var/www", want_parent=True)
+        www = kernel.lookup("/var/www")
+        walks = kernel.dcache.walks
+        assert ("/etc/passwd", True, False) in walks._entries
+        kernel.fs.create(kernel.lookup("/etc"), "new", FileType.REG)
+        assert ("/etc/passwd", True, False) not in walks._entries
+        assert ("/var/www", True, True) in walks._entries
+        assert _resolve(kernel, "/var/www", want_parent=True).inode is www
+
+    def test_walk_through_renamed_directory_dropped(self, kernel):
+        kernel.mkdirs("/var/www/site")
+        page = kernel.add_file("/var/www/site/index", b"old site")
+        assert _resolve(kernel, "/var/www/site/index").inode is page
+        walks = kernel.dcache.walks
+        kernel.fs.rename(kernel.lookup("/var/www"), "site", kernel.lookup("/var"), "old")
+        assert ("/var/www/site/index", True, False) not in walks._entries
+        with pytest.raises(errors.ENOENT):
+            _resolve(kernel, "/var/www/site/index")
+        assert _resolve(kernel, "/var/old/index").inode is page
+        kernel.mkdirs("/var/www/site")
+        fresh = kernel.add_file("/var/www/site/index", b"new site")
+        assert _resolve(kernel, "/var/www/site/index").inode is fresh
+
+    def test_recycled_directory_inode_never_serves_predecessor(self, kernel):
+        """Cryogenic sleep on a directory: same number, new generation."""
+        srv = kernel.mkdirs("/srv")
+        old = kernel.mkdirs("/srv/d")
+        proc = kernel.spawn("p", cwd="/srv/d")
+        rel = _resolve(kernel, "x", cwd=proc.cwd, want_parent=True)
+        assert (rel.parent, rel.inode) == (old, None)
+        assert _resolve(kernel, "/srv/d/x", want_parent=True).parent is old
+        walks = kernel.dcache.walks
+        assert (old.ino, old.generation) in walks._searchers
+        kernel.fs.rmdir(srv, "d")
+        new = kernel.fs.create(srv, "d", FileType.DIR)
+        assert new.ino == old.ino and new.generation != old.generation
+        child = kernel.fs.create(new, "x", FileType.REG)
+        tenant = kernel.spawn("q", cwd="/srv/d")
+        assert tenant.cwd is new
+        assert _resolve(kernel, "x", cwd=new, want_parent=True).inode is child
+        absolute = _resolve(kernel, "/srv/d/x", want_parent=True)
+        assert (absolute.parent, absolute.inode) == (new, child)
+        # The old tenant's cwd-relative walk is still its own.
+        assert _resolve(kernel, "x", cwd=old, want_parent=True).inode is None
+
+    def test_index_bounded_by_live_walks_under_churn(self, kernel):
+        """Unique /tmp names churn forever; the walk cache and its
+        reverse index stay at their steady-state size."""
+        kernel.mkdirs("/tmp")
+        kernel.mkdirs("/usr/include")
+        kernel.mkdirs("/usr/src/obj")
+        for i in range(4):
+            kernel.add_file("/usr/include/hdr{}.h".format(i), b"#define X\n")
+            kernel.add_file("/usr/src/src{}.c".format(i), b"int f;\n")
+        make = kernel.spawn("make")
+        sys = kernel.sys
+
+        def job(index):
+            src = index % 4
+            fd = sys.open(make, "/usr/src/src{}.c".format(src))
+            sys.close(make, fd)
+            for h in range(4):
+                sys.stat(make, "/usr/include/hdr{}.h".format(h))
+            tmp = "/usr/src/obj/.src{}.o.tmp".format(src)
+            fd = sys.open(make, tmp, OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_TRUNC)
+            sys.write(make, fd, b"obj")
+            sys.close(make, fd)
+            sys.rename(make, tmp, "/usr/src/obj/src{}.o".format(src))
+            if index % 4 == 3:
+                trap = "/tmp/cc-trap-{}".format(index)
+                sys.symlink(make, "/etc/passwd", trap)
+                sys.close(make, sys.open(make, trap))
+                sys.unlink(make, trap)
+
+        walks = kernel.dcache.walks
+
+        def sizes():
+            keys = sum(len(v) for v in walks._searchers.values())
+            assert keys == sum(len(v) for v in walks._searched.values())
+            assert set(walks._searched) == set(walks._entries)
+            return len(walks), len(walks._searchers), keys
+
+        for index in range(200):
+            job(index)
+        steady = sizes()
+        hits = walks.hits
+        for index in range(200, 2000):
+            job(index)
+        assert sizes() == steady
+        assert walks.hits - hits >= 1800 * 5  # the source and 4 headers stay warm
+
     def test_chmod_does_not_invalidate(self, kernel):
-        """Verdicts re-run live on replay, so chmod needs no stamp bump."""
+        """Verdicts re-run live on replay, so chmod needs no invalidation."""
         _resolve(kernel, "/etc/passwd")
         inval = kernel.dcache.walks.invalidations
         gen = kernel.fs.ns_gen
