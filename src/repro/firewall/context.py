@@ -79,6 +79,13 @@ _SYSCALL_SCOPED_FIELDS = frozenset(
     field for field in ContextField if int(field) & _SYSCALL_SCOPED_INT
 )
 
+#: Plain-int bit of every field.  ``field.value`` is a Python-level
+#: enum property; this probe hashes the member as an int instead.
+FIELD_BITS = {field: int(field) for field in ContextField}
+
+#: Name of every field (``field.name`` is an enum property too).
+FIELD_NAMES = {field: field.name for field in ContextField}
+
 
 class ContextFrame:
     """Collected context for one mediated operation.
@@ -131,16 +138,18 @@ class ContextFrame:
         self.trace = None
 
     def has(self, field):
-        # ``field.value`` keeps the arithmetic on plain ints: IntFlag's
-        # reflected operators would otherwise hijack ``int op IntFlag``
-        # and pay enum-member construction on every call.
-        return bool(self.mask & field.value)
+        """Whether ``field`` is already in this frame."""
+        # Plain-int bits: IntFlag's reflected operators would otherwise
+        # hijack ``int op IntFlag`` and pay enum-member construction.
+        return bool(self.mask & FIELD_BITS[field])
 
     def get(self, field):
+        """The value of a field already in this frame."""
         return self.values[field]
 
     def put(self, field, value):
-        bits = field.value
+        """Record a freshly collected value."""
+        bits = FIELD_BITS[field]
         self.mask |= bits
         if bits & _SYSCALL_SCOPED_INT:
             self.scoped_dirty = True
@@ -152,12 +161,21 @@ class ContextFrame:
         absorbed = 0
         values = self.values
         for field, value in cached_values.items():
-            bits = field.value
+            bits = FIELD_BITS[field]
             mask |= bits
             absorbed |= bits
             values[field] = value
         self.mask = mask
         self.cached_mask |= absorbed
+
+    def seed_used(self, field, value):
+        """Hold a value the engine read (and counted) before this frame
+        existed, as already used: a later lookup is neither a second
+        collection nor a cache hit."""
+        bits = FIELD_BITS[field]
+        self.mask |= bits
+        self.cached_mask &= ~bits
+        self.values[field] = value
 
     def syscall_scoped_values(self):
         """Extract the fields eligible for cross-operation caching."""

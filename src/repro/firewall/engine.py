@@ -48,7 +48,13 @@ from typing import Dict
 
 from repro import errors
 from repro.firewall import targets as tg
-from repro.firewall.context import _DECISION_STABLE_INT, ContextField, ContextFrame
+from repro.firewall.context import (
+    _DECISION_STABLE_INT,
+    FIELD_BITS,
+    FIELD_NAMES,
+    ContextField,
+    ContextFrame,
+)
 from repro.firewall.modules.registry import collect_field
 from repro.firewall.rule import RuleBase
 from repro.obs.audit import WARNING, AuditRing
@@ -66,7 +72,7 @@ from repro.obs.trace import (
     RuleEval,
     Tracer,
 )
-from repro.security.lsm import Op
+from repro.security.lsm import Op, Operation
 
 #: Maximum user-chain jump depth, like iptables' traversal limits.
 MAX_CHAIN_DEPTH = 16
@@ -120,6 +126,19 @@ PRESET_ALIASES = {"JITTED": "COMPILED"}
 
 #: Bound once: enum class attribute lookups are slow on the hot path.
 _SYSCALL_BEGIN = Op.SYSCALL_BEGIN
+_ENTRYPOINT = ContextField.ENTRYPOINT
+
+#: "No entrypoint head read yet" (``None`` and ``()`` are real heads).
+_NO_HEAD = object()
+
+
+def syscall_begin_operation(proc, name, args, seq):
+    """The ``SYSCALL_BEGIN`` operation of syscall ``seq``: ``name(*args)``
+    issued by ``proc``, carrying ``(name, *args)``."""
+    return Operation(
+        proc, _SYSCALL_BEGIN, syscall=name, args=(name,) + tuple(args),
+        extra={"syscall_seq": seq},
+    )
 
 
 def syscall_arg0(operation):
@@ -447,52 +466,113 @@ class ProcessFirewall:
         ``collected`` or ``cached``; when metrics are enabled, the
         collection is timed into the ``context`` phase.
         """
-        bits = field.value
+        bits = FIELD_BITS[field]
         if bits & _DECISION_STABLE_INT:
-            if field is ContextField.ENTRYPOINT:
+            if field is _ENTRYPOINT:
                 frame.used_entrypoint = True
         else:
             frame.decision_unsafe = True
         if frame.mask & bits:
             if frame.cached_mask & bits:
                 frame.cached_mask &= ~bits
-                self.stats.cache_hits += 1
-                trace = frame.trace
-                if trace is not None:
-                    trace.note_field(field.name, FIELD_CACHED)
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "pf_context_cache_hits_total", {"field": field.name}
-                    )
-            return frame.get(field)
-        return self._collect_checked(field, operation, frame)
+                self._note_cache_hit(field, frame.trace)
+            return frame.values[field]
+        return self._collect_checked(field, operation, frame, frame.trace)
 
-    def _collect_checked(self, field, operation, frame):
-        """Collect one field with trace/metrics bookkeeping and the
-        EFAULT degrade-to-``None`` discipline of :meth:`ensure`."""
-        trace = frame.trace
+    def _note_cache_hit(self, field, trace):
+        """Count one context-cache hit on ``field``, as :meth:`ensure`
+        does the first time it reads an absorbed field."""
+        self.stats.cache_hits += 1
         if trace is not None:
-            trace.note_field(field.name, FIELD_COLLECTED)
+            trace.note_field(FIELD_NAMES[field], FIELD_CACHED)
+        if self.metrics.enabled:
+            self.metrics.inc(
+                "pf_context_cache_hits_total", {"field": FIELD_NAMES[field]}
+            )
+
+    def _collect_checked(self, field, operation, frame, trace):
+        """Collect one field with trace/metrics bookkeeping and the
+        EFAULT degrade-to-``None`` discipline of :meth:`ensure`.
+
+        ``frame`` is ``None`` when the decision-cache probe reads the
+        entrypoint head before any frame exists; the value is then
+        only returned.
+        """
+        if trace is not None:
+            trace.note_field(FIELD_NAMES[field], FIELD_COLLECTED)
         metrics = self.metrics
         if metrics.enabled:
             started = perf_counter()
             try:
                 return collect_field(field, operation, self.kernel, frame, self.stats)
             except errors.EFAULT:
-                frame.put(field, None)
+                if frame is not None:
+                    frame.put(field, None)
                 return None
             finally:
                 metrics.observe_phase(PHASE_CONTEXT, perf_counter() - started)
-                metrics.inc("pf_context_collections_total", {"field": field.name})
+                metrics.inc("pf_context_collections_total", {"field": FIELD_NAMES[field]})
         try:
             return collect_field(field, operation, self.kernel, frame, self.stats)
         except errors.EFAULT:
-            frame.put(field, None)
+            if frame is not None:
+                frame.put(field, None)
             return None
+
+    def _entrypoint_head(self, operation, proc, seq, trace):
+        """The ENTRYPOINT head for an entrypoint-keyed decision-cache
+        probe, read without a context frame.
+
+        Served from the per-process context cache when it holds this
+        syscall's head (one ``cache_hits``, as :meth:`ensure` counts
+        it); otherwise collected and stored back replace-on-write, as
+        :meth:`_writeback_context` would, so the rest of the syscall
+        reuses it.
+        """
+        caching = self.config.context_cache and seq is not None
+        values = {}
+        if caching:
+            cache = proc.pf.context_cache
+            if cache is not None and cache[0] == seq:
+                values = cache[1]
+                if _ENTRYPOINT in values:
+                    self._note_cache_hit(_ENTRYPOINT, trace)
+                    return values[_ENTRYPOINT]
+        head = self._collect_checked(_ENTRYPOINT, operation, None, trace)
+        if caching:
+            values = dict(values)
+            values[_ENTRYPOINT] = head
+            # Replace-on-write: fork relatives may hold the old tuple.
+            proc.pf.context_cache = (seq, values)
+        return head
 
     # ------------------------------------------------------------------
     # the main loop (Figure 3)
     # ------------------------------------------------------------------
+
+    def begin_syscall(self, proc, name, args, seq):
+        """Mediate the ``SYSCALL_BEGIN`` of syscall ``seq``, ``name(*args)``.
+
+        Asks the syscall index before building anything: when no
+        ``syscallbegin`` chain names ``name`` and neither a tracer nor
+        metrics would record the mediation, this is :meth:`mediate`'s
+        fast path without the :class:`Operation` — the same
+        ``invocations``/``accepts`` counts, nothing allocated.  Every
+        other case builds the operation and calls :meth:`mediate`.
+        """
+        config = self.config
+        if (
+            config.entrypoint_chains
+            and config.enabled
+            and self.tracer is None
+            and not self.metrics.enabled
+            and not self._relevant_chains(_SYSCALL_BEGIN, name)
+        ):
+            stats = self.stats
+            stats.invocations += 1
+            stats.accepts += 1
+            return
+        self.mediate(syscall_begin_operation(proc, name, args, seq))
 
     def mediate(self, operation):
         """Evaluate the rule base; raise :class:`PFDenied` on DROP.
@@ -664,10 +744,10 @@ class ProcessFirewall:
         retrace that hit verbatim, so its counters are applied
         directly:
 
-        - subject-keyed entry (``True``): probe, hit, allow — no frame;
-        - entrypoint-keyed entry (head set): frame rebuilt from the
-          per-seq context cache (one absorbed ``ENTRYPOINT`` read →
-          ``cache_hits``), same head, same membership, allow.
+        - subject-keyed entry (``True``): probe, hit, allow;
+        - entrypoint-keyed entry (head set): head read from the
+          per-seq context cache (one ``cache_hits``), same head, same
+          membership, allow.
 
         Any other outcome — a drop, a full walk, a stale cache — keeps
         mediating per-call, so behavior stays byte-identical to the
@@ -723,7 +803,7 @@ class ProcessFirewall:
         the ``global_traversal_state`` ablation brackets every exit —
         including the ``PFDenied`` raise — with its balancing pop.
         """
-        frame = None
+        head = _NO_HEAD
         proc = operation.proc
         seq = operation.extra.get("syscall_seq")
 
@@ -733,9 +813,8 @@ class ProcessFirewall:
         # on nothing else — skip the walk entirely.  The syscall is part
         # of the key because the syscall index picks the chains walked:
         # a getpid walk that skipped a chain naming getuid proves
-        # nothing about getuid.  An entrypoint-independent hit needs no
-        # context frame at all; an entrypoint-keyed one only needs the
-        # (per-syscall-cached) stack unwind.
+        # nothing about getuid.  No hit builds a context frame: an
+        # entrypoint-keyed one reads only the (per-syscall-cached) head.
         dkey = stamp = None
         if self.config.decision_cache and proc is not None:
             probe_started = perf_counter() if metered else 0.0
@@ -765,8 +844,8 @@ class ProcessFirewall:
                             metrics.inc("pf_decision_cache_total", {"result": "hit"})
                             metrics.inc("pf_verdicts_total", {"verdict": "allow"})
                         return
-                    frame = self._new_frame(proc, seq, trace)
-                    if self.ensure(ContextField.ENTRYPOINT, operation, frame) in known:
+                    head = self._entrypoint_head(operation, proc, seq, trace)
+                    if head in known:
                         self.stats.decision_cache_hits += 1
                         self.stats.accepts += 1
                         if trace is not None:
@@ -778,7 +857,6 @@ class ProcessFirewall:
                             )
                             metrics.inc("pf_decision_cache_total", {"result": "hit"})
                             metrics.inc("pf_verdicts_total", {"verdict": "allow"})
-                        self._writeback_context(proc, seq, frame)
                         return
             if trace is not None:
                 trace.decision_cache = "miss"
@@ -786,8 +864,11 @@ class ProcessFirewall:
                 metrics.observe_phase(PHASE_CACHE_PROBE, perf_counter() - probe_started)
                 metrics.inc("pf_decision_cache_total", {"result": "miss"})
 
-        if frame is None:
-            frame = self._new_frame(proc, seq, trace)
+        frame = self._new_frame(proc, seq, trace)
+        if head is not _NO_HEAD:
+            # The probe already read (and counted) the head.
+            frame.seed_used(_ENTRYPOINT, head)
+            frame.used_entrypoint = True
 
         if not self.config.lazy_context:
             # Eager collection of every field any installed rule uses.
@@ -795,15 +876,15 @@ class ProcessFirewall:
             for field in ContextField:
                 if needed & field:
                     if frame.has(field):
-                        bits = field.value
+                        bits = FIELD_BITS[field]
                         if frame.cached_mask & bits:
                             # The cache saved this eager collection.
                             frame.cached_mask &= ~bits
                             self.stats.cache_hits += 1
                             if trace is not None:
-                                trace.note_field(field.name, FIELD_CACHED)
+                                trace.note_field(FIELD_NAMES[field], FIELD_CACHED)
                         continue
-                    self._collect_checked(field, operation, frame)
+                    self._collect_checked(field, operation, frame, trace)
 
         walk_started = perf_counter() if metered else 0.0
         try:
@@ -853,7 +934,7 @@ class ProcessFirewall:
             # the mutation below never leaks into a relative.
             wentries = proc.pf.decision_writable(stamp)
             if frame.used_entrypoint:
-                head = frame.get(ContextField.ENTRYPOINT)
+                head = frame.values[_ENTRYPOINT]
                 known = wentries.get(dkey)
                 if known is None:
                     wentries[dkey] = {head}
@@ -999,7 +1080,7 @@ class ProcessFirewall:
                         or (op is Op.LINK_READ and Op.LNK_FILE_READ in ept_ops)
                     )
                     if wanted:
-                        head = self.ensure(ContextField.ENTRYPOINT, operation, frame)
+                        head = self.ensure(_ENTRYPOINT, operation, frame)
                         if head in chain.by_entrypoint:
                             ept_key = head
                 sequences = (chain.dispatch(op, ept_key),)
@@ -1020,7 +1101,7 @@ class ProcessFirewall:
                     )
                     if wanted:
                         bucket = chain.by_entrypoint.get(
-                            self.ensure(ContextField.ENTRYPOINT, operation, frame)
+                            self.ensure(_ENTRYPOINT, operation, frame)
                         )
                         if bucket:
                             sequences.append(bucket)

@@ -9,6 +9,8 @@ entrypoint (``-i`` + ``-p``), LSM operation (``-o``) and program binary
 
 from __future__ import annotations
 
+import functools
+
 from repro.firewall.context import ContextField
 from repro.firewall.values import Value
 from repro.security.lsm import Op
@@ -33,8 +35,13 @@ class LabelSpec:
         self.syshigh = syshigh
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def parse(cls, text):
-        """Parse ``label``, ``{a|b}``, ``~{a|b}``, ``SYSHIGH``, ``~{SYSHIGH}``."""
+        """Parse ``label``, ``{a|b}``, ``~{a|b}``, ``SYSHIGH``, ``~{SYSHIGH}``.
+
+        Memoized by text, so equal operands across a rule base share
+        one spec: a spec is never mutated (widening builds a new one).
+        """
         negated = text.startswith("~")
         if negated:
             text = text[1:]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro import errors
-from repro.firewall.context import ContextField
+from repro.firewall.context import FIELD_NAMES, ContextField
 from repro.proc import signals as sig
 
 
@@ -185,11 +185,15 @@ CONTEXT_MODULES = {
 
 
 def collect_field(field, operation, kernel, frame, stats=None):
-    """Run the module for ``field`` and record the value in ``frame``."""
+    """Run the module for ``field`` and record the value in ``frame``
+    (``None``: only return it)."""
     module = CONTEXT_MODULES[field]
     value = module.collect(operation, kernel)
-    frame.put(field, value)
+    if frame is not None:
+        frame.put(field, value)
     if stats is not None:
-        stats.context_collections[field.name] = stats.context_collections.get(field.name, 0) + 1
+        collections = stats.context_collections
+        name = FIELD_NAMES[field]
+        collections[name] = collections.get(name, 0) + 1
         stats.context_cost += module.cost
     return value

@@ -22,7 +22,7 @@ from repro.proc.process import Credentials, Process
 from repro.proc.stack import BinaryImage
 from repro.security.adversary import AdversaryModel
 from repro.security.dac import dac_check
-from repro.security.lsm import LSMDispatcher, Op, Operation
+from repro.security.lsm import LSMDispatcher
 from repro.security.selinux import SELinuxModule
 from repro.syscalls.api import SyscallAPI
 from repro.vfs.dcache import Dcache
@@ -65,6 +65,7 @@ class AuditTrail:
 
     @property
     def limit(self):
+        """The bound on retained records."""
         return self._dq.maxlen
 
     def set_limit(self, limit):
@@ -72,9 +73,11 @@ class AuditTrail:
         self._dq = deque(self._dq, maxlen=limit)
 
     def append(self, record):
+        """Add a record, discarding the oldest at the bound."""
         self._dq.append(record)
 
     def clear(self):
+        """Drop every record."""
         self._dq.clear()
 
     def __len__(self):
@@ -118,10 +121,12 @@ class KernelStats:
         self.pf_drops = 0
 
     def count_syscall(self, name):
+        """Count one issued syscall under its name."""
         self.syscalls[name] = self.syscalls.get(name, 0) + 1
 
     @property
     def total_syscalls(self):
+        """Syscalls issued, over every name."""
         return sum(self.syscalls.values())
 
 
@@ -215,6 +220,7 @@ class Kernel:
         self.processes.pop(proc.pid, None)
 
     def get_process(self, pid):
+        """The live process ``pid``; raises ``ESRCH`` when there is none."""
         try:
             return self.processes[pid]
         except KeyError:
@@ -231,6 +237,7 @@ class Kernel:
         return firewall
 
     def detach_firewall(self):
+        """Remove the Process Firewall; mediation stops after MAC."""
         self.firewall = None
 
     # ------------------------------------------------------------------
@@ -238,15 +245,17 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def begin_syscall(self, proc, name, args=()):
-        """Tick the clock, account, and run the ``syscallbegin`` chain."""
+        """Tick the clock, account, and run the ``syscallbegin`` chain.
+
+        Returns the syscall's sequence number, which keys the
+        firewall's per-syscall context cache.
+        """
         self.clock.tick()
         self.stats.count_syscall(name)
         self._syscall_seq += 1
         seq = self._syscall_seq
         if self.firewall is not None:
-            operation = Operation(proc, Op.SYSCALL_BEGIN, obj=None, path=None, syscall=name, args=(name,) + tuple(args))
-            operation.extra["syscall_seq"] = seq
-            self.firewall.mediate(operation)
+            self.firewall.begin_syscall(proc, name, args, seq)
         return seq
 
     def mediate(self, operation, want=None, audit_path=None):
@@ -327,6 +336,7 @@ class Kernel:
         return inode
 
     def add_symlink(self, path, target, uid=0, gid=None, label=None):
+        """Create a symlink at ``path`` pointing to ``target``."""
         gid = uid if gid is None else gid
         resolved = self.walker.resolve(path, want_parent=True)
         return self.fs.symlink(resolved.parent, resolved.name, target, uid=uid, gid=gid, label=label)

@@ -152,10 +152,12 @@ class LSMDispatcher:
         self.invocations = 0
 
     def register(self, module):
+        """Append ``module`` to the authorization order; returns it."""
         self._modules.append(module)
         return module
 
     def unregister(self, module):
+        """Remove a registered module."""
         self._modules.remove(module)
 
     def authorize(self, operation):

@@ -38,6 +38,7 @@ import traceback
 
 from repro.api import Session
 from repro.errors import KernelError, PFDenied
+from repro.firewall.engine import syscall_begin_operation
 from repro.obs.audit import severity_name
 from repro.obs.service import WireCounters
 from repro.parallel.merge import strip_volatile
@@ -67,16 +68,26 @@ def record_mediations(firewall):
     Shadows the instance's ``mediate`` attribute and restores the
     previous state on exit, so nesting and pre-shadowed instances are
     handled.
+
+    ``begin_syscall`` is shadowed too, by a form that always builds
+    the ``SYSCALL_BEGIN`` operation and mediates it: the engine's own
+    ``begin_syscall`` skips the operation when the syscall index
+    proves the allow, and the stream must still hold it.
     """
     captured = []
     previous = firewall.__dict__.get("mediate")
+    previous_begin = firewall.__dict__.get("begin_syscall")
     original = firewall.mediate
 
     def recording_mediate(operation):
         captured.append(operation)
         return original(operation)
 
+    def recording_begin_syscall(proc, name, args, seq):
+        firewall.mediate(syscall_begin_operation(proc, name, args, seq))
+
     firewall.mediate = recording_mediate
+    firewall.begin_syscall = recording_begin_syscall
     try:
         yield captured
     finally:
@@ -84,6 +95,10 @@ def record_mediations(firewall):
             del firewall.mediate
         else:
             firewall.mediate = previous
+        if previous_begin is None:
+            del firewall.begin_syscall
+        else:
+            firewall.begin_syscall = previous_begin
 
 
 class SessionRunner:

@@ -68,6 +68,26 @@ class TestLabelSpec:
             assert again.negated == spec.negated
             assert again.syshigh == spec.syshigh
 
+    def test_equal_operands_share_one_spec(self, engine):
+        """Parsing is memoized by text: every rule naming the same
+        operand holds the same spec, and its render round-trips."""
+        engine.install_all([
+            "pftables -A input -s httpd_t -d ~{lib_t|etc_t} -o FILE_OPEN -j DROP",
+            "pftables -A input -s httpd_t -d ~{lib_t|etc_t} -o FILE_READ -j DROP",
+        ])
+        first, second = engine.rules.tables["filter"].chains["input"].rules
+        subjects = [m.spec for rule in (first, second)
+                    for m in rule.matches if isinstance(m, mm.SubjectMatch)]
+        objects = [m.spec for rule in (first, second)
+                   for m in rule.matches if isinstance(m, mm.ObjectMatch)]
+        assert subjects[0] is subjects[1] is mm.LabelSpec.parse("httpd_t")
+        assert objects[0] is objects[1] is mm.LabelSpec.parse("~{lib_t|etc_t}")
+        again = mm.LabelSpec.parse(objects[0].render())
+        assert (again.labels, again.negated, again.syshigh) == (
+            frozenset({"lib_t", "etc_t"}), True, False)
+        assert again.render() == objects[0].render() == "~{etc_t|lib_t}"
+        assert mm.LabelSpec.parse("{lib_t|etc_t}") is not objects[0]
+
 
 class TestDefaultMatches:
     def test_op_match(self, engine, world, proc):

@@ -24,8 +24,9 @@ import inspect
 import sys
 
 #: Modules whose public surface must be fully documented: the
-#: observability layer plus the engine that hosts it, and the stack
-#: unwinders and context modules that entrypoint collection runs.
+#: observability layer plus the engine that hosts it, the stack
+#: unwinders and context modules that entrypoint collection runs, and
+#: the kernel and LSM layer that hand the engine its operations.
 CHECKED_MODULES = [
     "repro.obs",
     "repro.obs.audit",
@@ -47,6 +48,9 @@ CHECKED_MODULES = [
     "repro.proc.stack",
     "repro.proc.interp",
     "repro.firewall.modules.registry",
+    "repro.kernel",
+    "repro.firewall.context",
+    "repro.security.lsm",
 ]
 
 
