@@ -72,7 +72,7 @@ from repro.obs.trace import (
     RuleEval,
     Tracer,
 )
-from repro.security.lsm import Op, Operation
+from repro.security.lsm import OP_NAMES, Op, Operation
 
 #: Maximum user-chain jump depth, like iptables' traversal limits.
 MAX_CHAIN_DEPTH = 16
@@ -135,10 +135,7 @@ _NO_HEAD = object()
 def syscall_begin_operation(proc, name, args, seq):
     """The ``SYSCALL_BEGIN`` operation of syscall ``seq``: ``name(*args)``
     issued by ``proc``, carrying ``(name, *args)``."""
-    return Operation(
-        proc, _SYSCALL_BEGIN, syscall=name, args=(name,) + tuple(args),
-        extra={"syscall_seq": seq},
-    )
+    return Operation(proc, _SYSCALL_BEGIN, syscall=name, args=(name,) + tuple(args), seq=seq)
 
 
 def syscall_arg0(operation):
@@ -368,8 +365,8 @@ class ProcessFirewall:
         #: Shared traversal stack used only in the iptables-emulation
         #: ablation (global_traversal_state).
         self._shared_traversal = []
-        #: Memo of relevant top-level chains per op (and per syscall,
-        #: for SYSCALL_BEGIN), keyed by rule-base stamp (hot-path
+        #: Memo of relevant top-level chains per op (and per syscall
+        #: name, for SYSCALL_BEGIN), keyed by rule-base stamp (hot-path
         #: optimization for the op- and syscall-index skips).  The
         #: stamp, not the bare version, so an atomically swapped rule
         #: base (persist restore) can never alias a stale memo.
@@ -583,7 +580,8 @@ class ProcessFirewall:
         *context* (frame build + field collection), *chain_walk*
         (mangle then filter), and *verdict*.
         """
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return
         self.stats.invocations += 1
         metrics = self.metrics
@@ -591,11 +589,13 @@ class ProcessFirewall:
         tracer = self.tracer
         trace = tracer.begin(operation) if tracer is not None else None
         if metered:
-            metrics.inc("pf_mediations_total", {"op": operation.op.value})
+            metrics.inc("pf_mediations_total", {"op": OP_NAMES[operation.op]})
 
-        if self.config.entrypoint_chains and not self._relevant_chains(
-            operation.op, syscall_arg0(operation)
-        ):
+        op = operation.op
+        # syscall_arg0(operation), inlined: every mediation needs it.
+        args0 = operation.args[0] if op is _SYSCALL_BEGIN and operation.args else None
+        pairs = self._relevant_chains(op, args0) if config.entrypoint_chains else None
+        if pairs is not None and not pairs:
             # Fast path: no installed chain can match this operation.
             # Safe because the base is deny-only with default allow —
             # skipping non-matching rules cannot change the verdict.
@@ -608,7 +608,7 @@ class ProcessFirewall:
                 metrics.inc("pf_verdicts_total", {"verdict": "allow"})
             return
 
-        if self.config.global_traversal_state:
+        if config.global_traversal_state:
             # iptables-style: traversal state is global, so the walk
             # must run with "interrupts disabled" (counted, not real).
             # The push/pop pair brackets the whole slow path in
@@ -617,10 +617,10 @@ class ProcessFirewall:
             self.stats.irq_disables += 1
             self._shared_traversal.append(operation)
             try:
-                return self._mediate_slow(operation, trace, metrics, metered)
+                return self._mediate_slow(operation, trace, metrics, metered, args0, pairs)
             finally:
                 self._shared_traversal.pop()
-        return self._mediate_slow(operation, trace, metrics, metered)
+        return self._mediate_slow(operation, trace, metrics, metered, args0, pairs)
 
     def mediate_batch(self, operations):
         """Mediate a sequence of operations; returns per-record verdicts.
@@ -734,7 +734,7 @@ class ProcessFirewall:
         Called by :meth:`mediate_batch` for a run (same op kind, same
         subject, no mutating syscalls) under a decision-cache +
         context-cache configuration.  The run is processed in
-        **syscall-seq groups**: records sharing ``syscall_seq`` were
+        **syscall-seq groups**: records sharing ``Operation.seq`` were
         emitted by the same syscall invocation, so between them the
         subject's stack, label, and per-seq context-cache frame cannot
         change.  The group's first record runs through ``mediate()``
@@ -757,13 +757,10 @@ class ProcessFirewall:
         idx = start
         while idx < end:
             operation = operations[idx]
-            seq = operation.extra.get("syscall_seq")
+            seq = operation.seq
             group_end = idx + 1
             if seq is not None:
-                while (
-                    group_end < end
-                    and operations[group_end].extra.get("syscall_seq") == seq
-                ):
+                while group_end < end and operations[group_end].seq == seq:
                     group_end += 1
             hits_before = stats.decision_cache_hits
             try:
@@ -796,16 +793,18 @@ class ProcessFirewall:
                 verdicts.extend(["allow"] * rest)
                 idx = group_end
 
-    def _mediate_slow(self, operation, trace, metrics, metered):
+    def _mediate_slow(self, operation, trace, metrics, metered, args0, pairs):
         """Post-fast-path mediation: cache probe, context, walk, verdict.
 
         Factored out of :meth:`mediate` so the shared-traversal push of
         the ``global_traversal_state`` ablation brackets every exit —
         including the ``PFDenied`` raise — with its balancing pop.
+        ``args0`` is :func:`syscall_arg0` of the operation and ``pairs``
+        the chains to walk (``None``: every routed chain).
         """
         head = _NO_HEAD
         proc = operation.proc
-        seq = operation.extra.get("syscall_seq")
+        seq = operation.seq
 
         # Negative-decision cache probe: a previous traversal of the
         # same (op, subject label, syscall[, entrypoint head]) under
@@ -821,7 +820,7 @@ class ProcessFirewall:
             if trace is not None:
                 trace.enter_stage(STAGE_DECISION_CACHE)
             stamp = self.rules.stamp
-            dkey = (operation.op, proc.label, syscall_arg0(operation))
+            dkey = (operation.op, proc.label, args0)
             # A stale or absent cache is not rebuilt here: allocation
             # waits for the first recordable verdict, so uncacheable
             # workloads (and short-lived forks) pay only this probe.
@@ -888,7 +887,7 @@ class ProcessFirewall:
 
         walk_started = perf_counter() if metered else 0.0
         try:
-            verdict, rule = self._traverse(operation, frame)
+            verdict, rule = self._traverse(operation, frame, pairs)
         finally:
             if metered:
                 metrics.observe_phase(PHASE_CHAIN_WALK, perf_counter() - walk_started)
@@ -905,7 +904,7 @@ class ProcessFirewall:
                     "time": self.kernel.clock.now() if self.kernel else 0,
                     "pid": proc.pid if proc is not None else None,
                     "comm": proc.comm if proc is not None else None,
-                    "op": operation.op.value,
+                    "op": OP_NAMES[operation.op],
                     "syscall": operation.syscall,
                     "path": operation.path,
                     "rule": rule.text,
@@ -993,14 +992,17 @@ class ProcessFirewall:
         covering ``op``; the syscall index drops a ``syscallbegin``
         chain whose ``Chain.syscalls`` excludes ``args0``, the syscall
         a ``SYSCALL_BEGIN`` operation begins (:func:`syscall_arg0`).
-        Memoized per rule-base stamp: the result only changes when
-        rules are installed or removed.
+        Memoized per rule-base stamp (the result only changes when
+        rules are installed or removed).  A ``SYSCALL_BEGIN`` entry is
+        keyed on the bare syscall name, any other on the ``Op``; an
+        ``Op`` (a plain ``Enum``) never equals a ``str``, so the two
+        kinds of key cannot collide.
         """
         stamp = self.rules.stamp
-        if self._chain_memo_stamp != stamp:
+        if self._chain_memo_stamp is not stamp:
             self._chain_memo = {}
             self._chain_memo_stamp = stamp
-        key = op if args0 is None else (op, args0)
+        key = args0 if op is _SYSCALL_BEGIN else op
         cached = self._chain_memo.get(key)
         if cached is not None:
             return cached
@@ -1017,20 +1019,19 @@ class ProcessFirewall:
         self._chain_memo[key] = out
         return out
 
-    def _traverse(self, operation, frame):
+    def _traverse(self, operation, frame, pairs):
         """Walk mangle first (marking), then filter (verdicts).
 
         The mangle table mirrors iptables' mark-then-filter idiom: its
         rules annotate (``STATE``/``LOG``) and may ``ACCEPT`` to skip
         further mangle rules, but cannot ``DROP`` — verdicts belong to
         the filter table (enforced at install time).  With entrypoint
-        chains on, only the :meth:`_relevant_chains` are walked.
+        chains on, ``pairs`` holds the :meth:`_relevant_chains`, the
+        only ones walked; ``None`` walks every routed chain.
         """
         proc = operation.proc
         metered = self.metrics.enabled
-        if self.config.entrypoint_chains:
-            pairs = self._relevant_chains(operation.op, syscall_arg0(operation))
-        else:
+        if pairs is None:
             pairs = self._routed_chains(operation.op)
         accepted = None  # the table whose chains a mangle ACCEPT ended
         for table, chain in pairs:

@@ -48,34 +48,15 @@ def _strip_quotes(token):
     return token
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._i = 0
-
-    def done(self):
-        return self._i >= len(self._tokens)
-
-    def peek(self):
-        return self._tokens[self._i] if not self.done() else None
-
-    def next(self):
-        if self.done():
-            raise errors.EINVAL("unexpected end of pftables rule")
-        token = self._tokens[self._i]
-        self._i += 1
-        return token
-
-
-def _parse_state_match(stream):
+def _parse_state_match(tokens):
     key = cmp_value = None
     equal = True
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--key":
-            key = _strip_quotes(stream.next())
+            key = _strip_quotes(tokens.pop())
         elif opt == "--cmp":
-            cmp_value = _strip_quotes(stream.next())
+            cmp_value = _strip_quotes(tokens.pop())
         elif opt == "--equal":
             equal = True
         elif opt == "--nequal":
@@ -87,15 +68,15 @@ def _parse_state_match(stream):
     return mm.StateMatch(key, cmp_value, equal=equal)
 
 
-def _parse_compare_match(stream):
+def _parse_compare_match(tokens):
     v1 = v2 = None
     equal = True
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--v1":
-            v1 = _strip_quotes(stream.next())
+            v1 = _strip_quotes(tokens.pop())
         elif opt == "--v2":
-            v2 = _strip_quotes(stream.next())
+            v2 = _strip_quotes(tokens.pop())
         elif opt == "--equal":
             equal = True
         elif opt == "--nequal":
@@ -107,19 +88,19 @@ def _parse_compare_match(stream):
     return mm.CompareMatch(v1, v2, equal=equal)
 
 
-def _parse_syscall_args_match(stream):
+def _parse_syscall_args_match(tokens):
     arg_index = value = None
     equal = True
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--arg":
-            arg_index = stream.next()
+            arg_index = tokens.pop()
         elif opt == "--equal":
             equal = True
-            value = _strip_quotes(stream.next())
+            value = _strip_quotes(tokens.pop())
         elif opt == "--nequal":
             equal = False
-            value = _strip_quotes(stream.next())
+            value = _strip_quotes(tokens.pop())
         else:
             raise errors.EINVAL("SYSCALL_ARGS match: unknown option {!r}".format(opt))
     if arg_index is None or value is None:
@@ -127,10 +108,10 @@ def _parse_syscall_args_match(stream):
     return mm.SyscallArgsMatch(arg_index, value, equal=equal)
 
 
-def _parse_adversary_match(stream):
+def _parse_adversary_match(tokens):
     writable = readable = None
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--writable":
             writable = True
         elif opt == "--not-writable":
@@ -146,14 +127,14 @@ def _parse_adversary_match(stream):
     return mm.AdversaryMatch(writable=writable, readable=readable)
 
 
-def _parse_script_match(stream):
+def _parse_script_match(tokens):
     file = line = None
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--file":
-            file = _strip_quotes(stream.next())
+            file = _strip_quotes(tokens.pop())
         elif opt == "--line":
-            line = stream.next()
+            line = tokens.pop()
         else:
             raise errors.EINVAL("SCRIPT match: unknown option {!r}".format(opt))
     if file is None:
@@ -164,23 +145,23 @@ def _parse_script_match(stream):
 _MATCH_PARSERS = {
     "STATE": _parse_state_match,
     "COMPARE": _parse_compare_match,
-    "SIGNAL_MATCH": lambda stream: mm.SignalMatch(),
+    "SIGNAL_MATCH": lambda tokens: mm.SignalMatch(),
     "SYSCALL_ARGS": _parse_syscall_args_match,
     "ADVERSARY": _parse_adversary_match,
     "SCRIPT": _parse_script_match,
 }
 
 
-def _parse_state_target(stream):
+def _parse_state_target(tokens):
     key = value = None
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--set":
             continue
         if opt == "--key":
-            key = _strip_quotes(stream.next())
+            key = _strip_quotes(tokens.pop())
         elif opt == "--value":
-            value = _strip_quotes(stream.next())
+            value = _strip_quotes(tokens.pop())
         else:
             raise errors.EINVAL("STATE target: unknown option {!r}".format(opt))
     if key is None or value is None:
@@ -188,15 +169,15 @@ def _parse_state_target(stream):
     return tg.StateTarget(key, value)
 
 
-def _parse_log_target(stream):
+def _parse_log_target(tokens):
     prefix = ""
     level = "info"
-    while not stream.done() and stream.peek().startswith("--"):
-        opt = stream.next()
+    while tokens and tokens[-1].startswith("--"):
+        opt = tokens.pop()
         if opt == "--prefix":
-            prefix = _strip_quotes(stream.next())
+            prefix = _strip_quotes(tokens.pop())
         elif opt == "--level":
-            level = _strip_quotes(stream.next())
+            level = _strip_quotes(tokens.pop())
         else:
             raise errors.EINVAL("LOG target: unknown option {!r}".format(opt))
     try:
@@ -231,9 +212,9 @@ def parse_rule(text):
     tokens = tokenize(text)
     if not tokens:
         raise errors.EINVAL("empty pftables rule")
-    if tokens[0] == "pftables":
-        tokens = tokens[1:]
-    stream = _TokenStream(tokens)
+    tokens.reverse()
+    if tokens[-1] == "pftables":
+        tokens.pop()
 
     table = "filter"
     action = "append"
@@ -248,53 +229,58 @@ def parse_rule(text):
     custom = []  # type: List[mm.MatchModule]
     target = None
 
-    while not stream.done():
-        flag = stream.next()
-        if flag == "-t":
-            table = stream.next()
-        elif flag in ("-I", "-A", "-D"):
-            action = {"-I": "insert", "-A": "append", "-D": "delete"}[flag]
-            chain = stream.next().lower()
-            if "/" in chain:  # the paper's "create/input" shorthand
-                chain = chain.split("/")[0]
-            if action == "insert":
-                position = 0
-                nxt = stream.peek()
-                if nxt is not None and nxt.isdigit():
-                    position = int(stream.next()) - 1
-        elif flag == "-s":
-            subject = mm.SubjectMatch(stream.next())
-        elif flag == "-d":
-            object_ = mm.ObjectMatch(stream.next())
-        elif flag in ("-p", "-b"):
-            program = stream.next()
-        elif flag == "-i":
-            entrypoint_offset = int(stream.next(), 0)
-        elif flag == "-o":
-            op_match = mm.OpMatch(stream.next())
-        elif flag == "-m":
-            name = stream.next().upper()
-            parser = _MATCH_PARSERS.get(name)
-            if parser is None:
-                raise errors.EINVAL("unknown match module {!r}".format(name))
-            custom.append(parser(stream))
-        elif flag == "-j":
-            name = stream.next()
-            upper = name.upper()
-            if upper == "DROP":
-                target = tg.DropTarget()
-            elif upper == "ACCEPT":
-                target = tg.AcceptTarget()
-            elif upper == "RETURN":
-                target = tg.ReturnTarget()
-            elif upper == "STATE":
-                target = _parse_state_target(stream)
-            elif upper == "LOG":
-                target = _parse_log_target(stream)
+    # Tokens are taken from the end of the reversed list: ``pop()`` and
+    # a length test stand in for a per-token method call, and running
+    # out of tokens mid-option is an IndexError.
+    try:
+        while tokens:
+            flag = tokens.pop()
+            if flag == "-t":
+                table = tokens.pop()
+            elif flag in ("-I", "-A", "-D"):
+                action = {"-I": "insert", "-A": "append", "-D": "delete"}[flag]
+                chain = tokens.pop().lower()
+                if "/" in chain:  # the paper's "create/input" shorthand
+                    chain = chain.split("/")[0]
+                if action == "insert":
+                    position = 0
+                    if tokens and tokens[-1].isdigit():
+                        position = int(tokens.pop()) - 1
+            elif flag == "-s":
+                subject = mm.SubjectMatch(tokens.pop())
+            elif flag == "-d":
+                object_ = mm.ObjectMatch(tokens.pop())
+            elif flag in ("-p", "-b"):
+                program = tokens.pop()
+            elif flag == "-i":
+                entrypoint_offset = int(tokens.pop(), 0)
+            elif flag == "-o":
+                op_match = mm.OpMatch(tokens.pop())
+            elif flag == "-m":
+                name = tokens.pop().upper()
+                parser = _MATCH_PARSERS.get(name)
+                if parser is None:
+                    raise errors.EINVAL("unknown match module {!r}".format(name))
+                custom.append(parser(tokens))
+            elif flag == "-j":
+                name = tokens.pop()
+                upper = name.upper()
+                if upper == "DROP":
+                    target = tg.DropTarget()
+                elif upper == "ACCEPT":
+                    target = tg.AcceptTarget()
+                elif upper == "RETURN":
+                    target = tg.ReturnTarget()
+                elif upper == "STATE":
+                    target = _parse_state_target(tokens)
+                elif upper == "LOG":
+                    target = _parse_log_target(tokens)
+                else:
+                    target = tg.JumpTarget(name)
             else:
-                target = tg.JumpTarget(name)
-        else:
-            raise errors.EINVAL("unknown pftables flag {!r}".format(flag))
+                raise errors.EINVAL("unknown pftables flag {!r}".format(flag))
+    except IndexError:
+        raise errors.EINVAL("unexpected end of pftables rule") from None
 
     if target is None:
         raise errors.EINVAL("pftables rule has no target (-j)")

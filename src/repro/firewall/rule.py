@@ -69,11 +69,13 @@ class Rule:
         #: a rule-generation signal.
         self.hits = 0
         #: Union of the context fields the matches and target read.
-        #: Computed once: a rule is immutable once built.
-        fields = self.target.required_fields
+        #: Computed once: a rule is immutable once built.  The bits are
+        #: OR-ed as plain ints (each ``|`` on the ``IntFlag`` is a
+        #: Python-level call) and wrapped once.
+        bits = int(self.target.required_fields)
         for match in self.matches:
-            fields |= match.required_fields
-        self.required_fields = fields
+            bits |= int(match.required_fields)
+        self.required_fields = ContextField(bits)
 
     def entrypoint_key(self):
         """``(program, offset)`` when this rule is entrypoint-specific."""
@@ -297,12 +299,12 @@ class RuleBase:
             raise errors.EINVAL("no table {!r}".format(name))
 
     def recompute_required_fields(self):
-        fields = ContextField(0)
+        bits = 0
         for table in self.tables.values():
             for rule in table.all_rules():
-                fields |= rule.required_fields
-        self.required_fields = fields
-        return fields
+                bits |= int(rule.required_fields)
+        self.required_fields = ContextField(bits)
+        return self.required_fields
 
     def rule_count(self):
         return sum(len(chain) for table in self.tables.values() for chain in table.chains.values())
@@ -311,14 +313,18 @@ class RuleBase:
         """Insert (position given) or append a rule.
 
         An added rule can only widen the field union, so it is OR-ed in
-        rather than recomputed over the whole base.
+        rather than recomputed over the whole base, and rewrapped only
+        when it widens.
         """
         chain_obj = self.table(table).chain(chain, create=create_chain)
         if position is None:
             chain_obj.append(rule)
         else:
             chain_obj.insert(rule, position)
-        self.required_fields |= rule.required_fields
+        have = int(self.required_fields)
+        bits = have | int(rule.required_fields)
+        if bits != have:
+            self.required_fields = ContextField(bits)
         self.version += 1
         self.stamp = (self.uid, self.version)
         return rule

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.firewall.context import ContextField
 from repro.firewall.values import Value
 from repro.obs.audit import INFO, severity_level, severity_name
+from repro.security.lsm import OP_NAMES
 
 #: Traversal verdicts returned by Target.execute.
 DROP = "DROP"
@@ -139,7 +140,7 @@ class LogTarget(Target):
             "comm": operation.proc.comm,
             "program": engine.ensure(ContextField.PROGRAM, operation, frame),
             "entrypoint": list(head) if head else None,
-            "op": operation.op.value,
+            "op": OP_NAMES[operation.op],
             "path": operation.path,
             "object_label": engine.ensure(ContextField.OBJECT_LABEL, operation, frame),
             "resource_id": engine.ensure(ContextField.RESOURCE_ID, operation, frame),

@@ -22,7 +22,7 @@ from repro.proc.process import Credentials, Process
 from repro.proc.stack import BinaryImage
 from repro.security.adversary import AdversaryModel
 from repro.security.dac import dac_check
-from repro.security.lsm import LSMDispatcher
+from repro.security.lsm import OP_NAMES, LSMDispatcher
 from repro.security.selinux import SELinuxModule
 from repro.syscalls.api import SyscallAPI
 from repro.vfs.dcache import Dcache
@@ -296,7 +296,7 @@ class Kernel:
                 self.clock.now(),
                 operation.proc.pid if operation.proc else 0,
                 operation.proc.comm if operation.proc else "?",
-                operation.op.value,
+                OP_NAMES[operation.op],
                 path,
                 decision,
                 detail,

@@ -22,6 +22,7 @@ the resource context consumed by firewall matches like ``-d ~{SYSHIGH}``.
 from __future__ import annotations
 
 from repro.security import dac
+from repro.vfs.inode import FileType
 
 
 class AdversaryModel:
@@ -53,7 +54,7 @@ class AdversaryModel:
 
     def dac_adversary_writable(self, proc, inode):
         advs = self.dac_adversaries(proc)
-        if getattr(inode, "itype", None) is not None and inode.itype.value == "lnk":
+        if getattr(inode, "itype", None) is FileType.LNK:
             # Symlink inodes always carry mode 0777; what matters is who
             # can *replace* the link, which (under sticky-/tmp semantics)
             # is its owner.  Treat a link as adversary-controlled when an

@@ -60,6 +60,10 @@ class Op(enum.Enum):
         return cls[name]
 
 
+#: Rule-language name of every operation: ``op.value`` runs enum's
+#: Python-level property on each read, a probe of this table does not.
+OP_NAMES = {op: op.value for op in Op}
+
 #: SELinux object class implied by each operation, for policy lookup.
 OP_CLASS = {
     Op.FILE_OPEN: "file",
@@ -116,21 +120,27 @@ class Operation:
         path: best-effort pathname for audit.
         syscall: name of the invoking syscall.
         args: raw syscall arguments (for the ``SYSCALL_ARGS`` match).
-        extra: op-specific context, e.g. ``link_target`` — the inode a
-            traversed symlink resolves to (consumed by rule R8's
-            ``COMPARE`` of link owner vs target owner).
+        extra: op-specific context, e.g. ``link_target_resolver`` — how
+            a traversed symlink resolves to its target inode (consumed
+            by rule R8's ``COMPARE`` of link owner vs target owner).
+            The dict passed in is kept, not copied.
+        seq: sequence number of the syscall that issued the operation
+            (:meth:`repro.kernel.Kernel.begin_syscall`), or ``None``.
+            Operations of one syscall share it; the firewall keys its
+            per-syscall context cache on it.
     """
 
-    __slots__ = ("proc", "op", "obj", "path", "syscall", "args", "extra")
+    __slots__ = ("proc", "op", "obj", "path", "syscall", "args", "extra", "seq")
 
-    def __init__(self, proc, op, obj=None, path=None, syscall="", args=(), extra=None):
+    def __init__(self, proc, op, obj=None, path=None, syscall="", args=(), extra=None, seq=None):
         self.proc = proc
         self.op = op
         self.obj = obj
         self.path = path
         self.syscall = syscall
         self.args = tuple(args)
-        self.extra = extra or {}
+        self.extra = {} if extra is None else extra
+        self.seq = seq
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return "<Operation {} {} by pid {}>".format(

@@ -282,7 +282,7 @@ class SessionRunner:
             names = []
             group_of = {}
             for operation in captured:
-                seq = operation.extra.get("syscall_seq")
+                seq = operation.seq
                 if seq not in group_of:
                     group_of[seq] = len(names)
                     names.append(operation.syscall or "?")
@@ -298,7 +298,7 @@ class SessionRunner:
             kernel._syscall_seq += 1
             seqs.append(kernel._syscall_seq)
         for operation, group in zip(operations, groups):
-            operation.extra["syscall_seq"] = seqs[group]
+            operation.seq = seqs[group]
         verdicts = session.firewall.mediate_batch(operations)
         denied = status == "PFDenied"
         for position, verdict in enumerate(verdicts):

@@ -31,7 +31,7 @@ from repro.proc.process import Credentials, Process
 from repro.proc.stack import BinaryImage
 from repro.security.dac import dac_check
 from repro.security.lsm import Op, Operation
-from repro.vfs.file import OpenFile, OpenFlags
+from repro.vfs.file import WRITE_BITS, OpenFile, OpenFlags, open_flags
 from repro.vfs.inode import FileType
 from repro.vfs.namei import WalkEvent
 from repro.vfs.stat import StatResult
@@ -62,24 +62,27 @@ class SyscallAPI:
         mediate = kernel.mediate
         walker = kernel.walker
 
+        args = (path,)
+        audited = kernel.audit_enabled
+
         def observe(step):
             if step.event is WalkEvent.LOOKUP:
                 last_dir[0] = step.inode
                 operation = Operation(
-                    proc, Op.DIR_SEARCH, obj=step.inode, path=step.prefix, syscall=syscall, args=(path,)
+                    proc, Op.DIR_SEARCH, obj=step.inode, path=step.prefix, syscall=syscall, args=args,
+                    extra={"component": step.name}, seq=seq,
                 )
-                operation.extra["syscall_seq"] = seq
-                operation.extra["component"] = step.name
-                mediate(operation, want="x", audit_path=step.prefix + "/" + step.name)
+                # The component's own path only names an audit record.
+                mediate(operation, want="x", audit_path=step.prefix + "/" + step.name if audited else None)
             elif step.event is WalkEvent.SYMLINK_FOLLOW:
-                operation = Operation(
-                    proc, Op.LNK_FILE_READ, obj=step.inode, path=step.prefix + "/" + step.name,
-                    syscall=syscall, args=(path,),
-                )
-                operation.extra["syscall_seq"] = seq
+                extra = {}
                 parent = last_dir[0]
                 if parent is not None and parent.is_sticky:
-                    operation.extra["sticky_parent"] = parent
+                    extra["sticky_parent"] = parent
+                operation = Operation(
+                    proc, Op.LNK_FILE_READ, obj=step.inode, path=step.prefix + "/" + step.name,
+                    syscall=syscall, args=args, extra=extra, seq=seq,
+                )
                 link = step.inode
                 parent_prefix = step.prefix
 
@@ -94,18 +97,15 @@ class SyscallAPI:
                     except errors.KernelError:
                         return None
 
-                operation.extra["link_target_resolver"] = resolve_target
+                extra["link_target_resolver"] = resolve_target
                 mediate(operation)
 
         return walker.resolve(
             path, cwd=proc.cwd, follow_final=follow_final, want_parent=want_parent, observer=observe
         )
 
-    def _final_op(self, proc, op, inode, path, syscall, seq, want=None, args=(), extra=None):
-        operation = Operation(proc, op, obj=inode, path=path, syscall=syscall, args=args)
-        operation.extra["syscall_seq"] = seq
-        if extra:
-            operation.extra.update(extra)
+    def _final_op(self, proc, op, inode, path, syscall, seq, want=None, args=()):
+        operation = Operation(proc, op, obj=inode, path=path, syscall=syscall, args=args, seq=seq)
         self.kernel.mediate(operation, want=want)
         return operation
 
@@ -115,16 +115,17 @@ class SyscallAPI:
 
     def open(self, proc, path, flags=OpenFlags.O_RDONLY, mode=0o644, label=None):
         """Open (and possibly create) a file; returns a descriptor."""
-        flags = OpenFlags(flags)
-        seq = self.kernel.begin_syscall(proc, "open", (path, int(flags)))
+        flags = open_flags(flags)
+        args = (path, flags)
+        seq = self.kernel.begin_syscall(proc, "open", args)
         inode, canonical = self._resolve_open(proc, path, flags, mode, label, seq)
         if flags & OpenFlags.O_DIRECTORY and not inode.is_dir:
             raise errors.ENOTDIR(canonical)
-        if inode.is_dir and flags.wants_write:
+        writes = flags & WRITE_BITS
+        if writes and inode.is_dir:
             raise errors.EISDIR(canonical)
-        want = "w" if flags.wants_write else "r"
-        self._final_op(proc, Op.FILE_OPEN, inode, canonical, "open", seq, want=want, args=(path, int(flags)))
-        if flags & OpenFlags.O_TRUNC and flags.wants_write:
+        self._final_op(proc, Op.FILE_OPEN, inode, canonical, "open", seq, want="w" if writes else "r", args=args)
+        if writes and flags & OpenFlags.O_TRUNC:
             inode.data = b""
         open_file = OpenFile(inode, flags, canonical, self.kernel.fs.inodes)
         return proc.install_fd(open_file)
@@ -147,12 +148,13 @@ class SyscallAPI:
             if child.is_symlink:
                 if flags & OpenFlags.O_NOFOLLOW:
                     raise errors.ELOOP(resolved.path)
-                operation = Operation(
-                    proc, Op.LNK_FILE_READ, obj=child, path=resolved.path, syscall="open", args=(path,)
-                )
-                operation.extra["syscall_seq"] = seq
+                extra = {}
                 if resolved.parent is not None and resolved.parent.is_sticky:
-                    operation.extra["sticky_parent"] = resolved.parent
+                    extra["sticky_parent"] = resolved.parent
+                operation = Operation(
+                    proc, Op.LNK_FILE_READ, obj=child, path=resolved.path, syscall="open", args=(path,),
+                    extra=extra, seq=seq,
+                )
                 walker = self.kernel.walker
                 parent_path = posixpath.dirname(resolved.path) or "/"
 
@@ -166,7 +168,7 @@ class SyscallAPI:
                     except errors.KernelError:
                         return None
 
-                operation.extra["link_target_resolver"] = resolve_target
+                extra["link_target_resolver"] = resolve_target
                 self.kernel.mediate(operation)
                 target = child.symlink_target or ""
                 if target.startswith("/"):
@@ -590,11 +592,13 @@ class SyscallAPI:
             path="signal:{}".format(sig.SIGNAL_NAMES.get(signum, signum)),
             syscall="kill",
             args=(signum,),
+            extra={
+                "signum": signum,
+                "sender_pid": sender.pid if sender else 0,
+                "disposition": disposition,
+            },
+            seq=self.kernel._syscall_seq,
         )
-        operation.extra["signum"] = signum
-        operation.extra["sender_pid"] = sender.pid if sender else 0
-        operation.extra["disposition"] = disposition
-        operation.extra["syscall_seq"] = self.kernel._syscall_seq
         self.kernel.mediate(operation)
         return self._run_disposition(target, signum, disposition)
 
@@ -680,7 +684,7 @@ class SyscallAPI:
     def ftruncate(self, proc, fd, length=0):
         seq = self.kernel.begin_syscall(proc, "ftruncate", (fd, length))
         open_file = proc.get_fd(fd)
-        if not open_file.flags.wants_write:
+        if not open_file.writable:
             raise errors.EBADF("ftruncate on read-only descriptor")
         self._final_op(proc, Op.FILE_SETATTR, open_file.inode, open_file.path, "ftruncate", seq, args=(fd,))
         data = open_file.inode.data or b""

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-import enum
-
 from repro import errors
 from repro.vfs.inode import FileType
 
 
-class OpenFlags(enum.IntFlag):
-    """Subset of ``open(2)`` flags the simulation honours."""
+class OpenFlags:
+    """Subset of ``open(2)`` flags the simulation honours.
+
+    Plain ``int`` constants, combined with ``|`` and tested with ``&``
+    (every open does flag arithmetic; an ``enum.IntFlag`` would make
+    each operator a Python-level call).  :func:`open_flags` coerces
+    ``open``'s argument.
+    """
 
     O_RDONLY = 0x0
     O_WRONLY = 0x1
@@ -21,13 +25,52 @@ class OpenFlags(enum.IntFlag):
     O_NOFOLLOW = 0x20000
     O_DIRECTORY = 0x10000
 
-    @property
-    def wants_write(self):
-        return bool(self & (OpenFlags.O_WRONLY | OpenFlags.O_RDWR))
 
-    @property
-    def wants_read(self):
-        return not bool(self & OpenFlags.O_WRONLY)
+#: Access-mode bits that ask for write access.
+WRITE_BITS = OpenFlags.O_WRONLY | OpenFlags.O_RDWR
+
+#: The named flag values, each mapped to itself: a non-``int`` argument
+#: equal to one of them (``2.0``) is accepted as that value.
+_NAMED = {
+    value: value for name, value in vars(OpenFlags).items() if name.startswith("O_")
+}
+
+#: One past the widest named bit: negative flags wrap modulo this.
+_SPAN = 1 << max(_NAMED).bit_length()
+
+
+def wants_read(flags):
+    """Whether an ``open`` with ``flags`` may read (not ``O_WRONLY``)."""
+    return not flags & OpenFlags.O_WRONLY
+
+
+def wants_write(flags):
+    """Whether an ``open`` with ``flags`` may write."""
+    return bool(flags & WRITE_BITS)
+
+
+def open_flags(value):
+    """The plain-``int`` flags ``open`` uses for its ``flags`` argument.
+
+    Any ``int`` (``bool`` and ``IntFlag`` members included) is taken as
+    its integer value; another value is accepted only when it equals a
+    named flag (``2.0``), and anything else (``"1"``, ``1.5``, ``None``)
+    raises ``ValueError``.  A negative value wraps into the named bits'
+    span as ``enum.IntFlag`` wraps it: ``-1`` is ``0x3FFFF`` and
+    ``-0x40000`` is ``0``; below ``-0x40000`` it wraps into the next
+    power of two past its own width.
+    """
+    if value.__class__ is not int:
+        if isinstance(value, int):
+            value = int(value)
+        else:
+            try:
+                value = _NAMED[value]
+            except (KeyError, TypeError):
+                raise ValueError("{!r} is not a valid OpenFlags".format(value)) from None
+    if value < 0:
+        value += _SPAN if value >= -_SPAN else 1 << value.bit_length()
+    return value
 
 
 class OpenFile:
@@ -40,7 +83,11 @@ class OpenFile:
 
     def __init__(self, inode, flags, path, inode_table):
         self.inode = inode
-        self.flags = OpenFlags(flags)
+        #: The ``open`` flags, a plain ``int`` (see :func:`open_flags`).
+        self.flags = flags
+        #: Access the flags grant, worked out once.
+        self.readable = wants_read(flags)
+        self.writable = wants_write(flags)
         self.path = path
         self.offset = 0
         self.closed = False
@@ -57,7 +104,7 @@ class OpenFile:
     def read(self, size=None):
         if self.closed:
             raise errors.EBADF("read on closed file")
-        if not self.flags.wants_read:
+        if not self.readable:
             raise errors.EBADF("file not open for reading")
         if self.inode.itype is FileType.DIR:
             raise errors.EISDIR("read on a directory")
@@ -70,7 +117,7 @@ class OpenFile:
     def write(self, data):
         if self.closed:
             raise errors.EBADF("write on closed file")
-        if not self.flags.wants_write:
+        if not self.writable:
             raise errors.EBADF("file not open for writing")
         if isinstance(data, str):
             data = data.encode("utf-8")

@@ -129,6 +129,18 @@ class TestParsing:
         with pytest.raises(errors.EINVAL):
             parse_rule("   ")
 
+    @pytest.mark.parametrize("text", [
+        "pftables -o",
+        "pftables -A",
+        "pftables -o FILE_OPEN -j",
+        "pftables -m STATE --key",
+        "pftables -m SYSCALL_ARGS --arg 0 --equal",
+        "pftables -o FILE_OPEN -j STATE --key k --value",
+    ])
+    def test_truncated_rule_rejected(self, text):
+        with pytest.raises(errors.EINVAL, match="unexpected end of pftables rule"):
+            parse_rule(text)
+
 
 class TestInstallation:
     def test_install_and_count(self):

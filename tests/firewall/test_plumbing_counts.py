@@ -12,12 +12,23 @@ operation, and an entrypoint-keyed decision-cache hit builds no frame.
 The engine counters after the same workloads are pinned to the values
 they had before either short cut existed: the short cuts move no
 verdict and no counter.
+
+Open flags are plain ints and operation names come from a table, so
+the counted sessions call no Python-level ``enum`` code at all.  A ``SYSCALL_BEGIN`` asks the syscall index
+through a memo keyed on the bare syscall name; the tests at the end pin
+that a ``syscallbegin`` rule still fires through it and that installs
+and flushes invalidate it.
 """
+
+import enum
+import sys
 
 import pytest
 
+from repro import errors
+from repro.api import Session
 from repro.firewall.context import ContextFrame
-from repro.security.lsm import Operation
+from repro.security.lsm import Op, Operation
 from tests.plumbing_workloads import COUNTED, TRAP_EVERY, WARMUP, run_build, run_lmbench
 
 
@@ -84,3 +95,107 @@ def test_engine_stats_pinned():
     tree = run_build()
     assert tree.drops == (WARMUP + COUNTED) // TRAP_EVERY
     assert tree.firewall.stats.as_dict() == PINNED_BUILD_STATS
+
+
+@pytest.fixture
+def enum_calls():
+    """Count calls into Python-level ``enum`` code; the returned
+    ``start()`` begins counting and ``stop()`` ends it."""
+    calls = []
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            calls.append(frame.f_code.co_qualname)
+
+    def start():
+        sys.setprofile(profile)
+
+    def stop():
+        sys.setprofile(previous)
+
+    yield calls, start, stop
+    sys.setprofile(previous)
+
+
+def test_lmbench_rounds_call_no_enum_code(enum_calls):
+    calls, start, stop = enum_calls
+    run_lmbench(before_counted=start)
+    stop()
+    assert calls == []
+
+
+def test_build_jobs_call_no_enum_code(enum_calls):
+    """0 per job: open flags, operation names (kernel audit, drop
+    records) and the symlink test of ``dac_adversary_writable`` read
+    no enum property."""
+    calls, start, stop = enum_calls
+    run_build(before_counted=start)
+    stop()
+    assert calls == []
+
+
+RULE_GETUID = "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_getuid -j DROP"
+
+
+@pytest.fixture(params=["EPTSPC", "COMPILED"])
+def indexed(request):
+    """A session on a rung with the syscall index, and a root process."""
+    session = Session(engine=request.param)
+    return session, session.kernel.spawn("p", uid=0)
+
+
+class TestBeginMemo:
+    def test_rule_fires_through_the_memo(self, indexed):
+        session, proc = indexed
+        session.firewall.install(RULE_GETUID)
+        sys_ = session.kernel.sys
+        for _ in range(2):
+            sys_.getpid(proc)
+            with pytest.raises(errors.PFDenied):
+                sys_.getuid(proc)
+        memo = session.firewall._chain_memo
+        assert memo["getpid"] == []
+        assert [chain.name for _, chain in memo["getuid"]] == ["syscallbegin"]
+        assert session.firewall.stats.drops == 2
+
+    def test_syscall_named_like_an_op(self, indexed):
+        """A syscall called ``FILE_OPEN`` is keyed apart from the
+        ``FILE_OPEN`` operation in the one memo: the rule naming it
+        drops its begin, and file opens (no ``input`` rule) stay on the
+        fast path."""
+        session, proc = indexed
+        firewall = session.firewall
+        firewall.install(
+            "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal FILE_OPEN -j DROP")
+        kernel = session.kernel
+        for _ in range(2):
+            with pytest.raises(errors.PFDenied):
+                kernel.begin_syscall(proc, "FILE_OPEN")
+            kernel.sys.close(proc, kernel.sys.open(proc, "/etc/passwd"))
+            kernel.begin_syscall(proc, "FILE_READ")
+        memo = firewall._chain_memo
+        assert memo[Op.FILE_OPEN] == []
+        assert [chain.name for _, chain in memo["FILE_OPEN"]] == ["syscallbegin"]
+        assert firewall.stats.drops == 2
+
+    def test_install_invalidates_the_memo(self, indexed):
+        session, proc = indexed
+        sys_ = session.kernel.sys
+        sys_.getuid(proc)
+        assert session.firewall._chain_memo["getuid"] == []
+        session.firewall.install(RULE_GETUID)
+        with pytest.raises(errors.PFDenied):
+            sys_.getuid(proc)
+
+    def test_flush_invalidates_the_memo(self, indexed):
+        session, proc = indexed
+        firewall = session.firewall
+        firewall.install(RULE_GETUID)
+        sys_ = session.kernel.sys
+        with pytest.raises(errors.PFDenied):
+            sys_.getuid(proc)
+        firewall.flush()
+        assert firewall._chain_memo == {}
+        sys_.getuid(proc)
+        assert firewall._chain_memo["getuid"] == []

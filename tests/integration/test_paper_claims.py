@@ -44,6 +44,36 @@ class TestTable6Shape:
         assert stat["FULL"] > stat["DISABLED"] * 1.3
         assert stat["FULL"] >= max(stat["LAZYCON"], stat["EPTSPC"])
 
+    @pytest.fixture(scope="class")
+    def stat_work(self):
+        """Engine counters per ``stat`` call, per column, after one
+        warm-up call; counted, so independent of host speed."""
+        out = {}
+        for column in ("FULL", "CONCACHE", "LAZYCON", "EPTSPC"):
+            suite = LmbenchSuite(column, rule_count=400)
+            suite.op_stat()
+            stats = suite.firewall.stats
+            before = stats.rules_evaluated, stats.context_cost
+            for _ in range(10):
+                suite.op_stat()
+            out[column] = {
+                "rules_evaluated": (stats.rules_evaluated - before[0]) / 10,
+                "context_cost": (stats.context_cost - before[1]) / 10,
+            }
+        return out
+
+    def test_full_is_worst_for_stat_counted(self, stat_work):
+        """Deterministic companion of :meth:`test_full_is_worst_for_stat`:
+        the same ordering on the work the engine counts.  The context
+        cache alone already keeps FULL's context cost above LAZYCON's,
+        so each context optimization must also lower it strictly —
+        CONCACHE's cache, then LAZYCON's lazy retrieval."""
+        for counter in ("rules_evaluated", "context_cost"):
+            work = {c: w[counter] for c, w in stat_work.items()}
+            assert work["FULL"] >= max(work["LAZYCON"], work["EPTSPC"])
+        cost = {c: w["context_cost"] for c, w in stat_work.items()}
+        assert cost["FULL"] > cost["CONCACHE"] > cost["LAZYCON"]
+
     def test_optimizations_recover_cost(self, timings):
         stat = {c: t["stat"] for c, t in timings.items()}
         null = {c: t["null"] for c, t in timings.items()}

@@ -120,7 +120,7 @@ def test_record_mediations_captures_every_syscall_begin(column):
     assert [op.syscall for op in operations if op.op.value == "SYSCALL_BEGIN"] == [
         "stat", "open", "close", "lseek", "read", "lseek", "write", "fstat", "getpid"]
     for operation in operations:
-        assert operation.extra["syscall_seq"] is not None
+        assert operation.seq is not None
 
 
 def test_short_path_counts_like_the_fast_path():

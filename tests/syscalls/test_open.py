@@ -3,6 +3,9 @@
 import pytest
 
 from repro import errors
+from repro.api import Session
+from repro.security.lsm import Op
+from repro.service.core import record_mediations
 from repro.vfs.file import OpenFlags
 from repro.world import spawn_adversary, spawn_root_shell
 
@@ -10,6 +13,67 @@ from repro.world import spawn_adversary, spawn_root_shell
 @pytest.fixture
 def sys(world):
     return world.sys
+
+
+#: ``open(proc, "/tmp/f", flags)`` on an existing file, recorded when
+#: ``OpenFlags`` was an ``enum.IntFlag`` and ``open`` coerced with
+#: ``OpenFlags(flags)``: the flags ``syscallbegin`` sees, then the
+#: opened description's ``flags`` or the errno.  ``None`` stands for a
+#: ``ValueError`` raised before the syscall begins.
+FLAG_COERCION = [
+    (0, 0, 0),
+    (1, 1, 1),
+    (2, 2, 2),
+    (0x41, 0x41, 0x41),
+    (0x241, 0x241, 0x241),
+    (0x441, 0x441, 0x441),
+    (0xC1, 0xC1, "EEXIST"),
+    (0x10000, 0x10000, "ENOTDIR"),
+    (0x20000, 0x20000, 0x20000),
+    (8, 8, 8),
+    (1 << 40, 1 << 40, 1 << 40),
+    (True, 1, 1),
+    (False, 0, 0),
+    (-1, 0x3FFFF, "EEXIST"),
+    (-0x40000, 0, 0),
+    (-0x40001, 0x3FFFF, "EEXIST"),
+    (-(1 << 40), 1 << 40, 1 << 40),
+    (-(1 << 40) - 1, (1 << 40) - 1, "EEXIST"),
+    (OpenFlags.O_RDWR, 2, 2),
+    (2.0, 2, 2),
+    (0.0, 0, 0),
+    ("1", None, None),
+    (1.5, None, None),
+    (None, None, None),
+    (b"1", None, None),
+    ([1], None, None),
+]
+
+
+@pytest.mark.parametrize("value,begun,outcome", FLAG_COERCION, ids=repr)
+def test_flag_coercion_unchanged(value, begun, outcome):
+    session = Session(engine="COMPILED")
+    kernel = session.kernel
+    kernel.add_file("/tmp/f", b"data")
+    proc = kernel.spawn("p", uid=0)
+    with record_mediations(session.firewall) as captured:
+        if begun is None:
+            with pytest.raises(ValueError):
+                kernel.sys.open(proc, "/tmp/f", value)
+        elif isinstance(outcome, str):
+            with pytest.raises(errors.KernelError) as raised:
+                kernel.sys.open(proc, "/tmp/f", value)
+            assert raised.value.errno_name == outcome
+        else:
+            fd = kernel.sys.open(proc, "/tmp/f", value)
+            flags = proc.get_fd(fd).flags
+            assert type(flags) is int and flags == outcome
+    begins = [op.args for op in captured if op.op is Op.SYSCALL_BEGIN]
+    if begun is None:
+        assert begins == []
+    else:
+        assert begins == [("open", "/tmp/f", begun)]
+        assert type(begins[0][2]) is int
 
 
 class TestBasicOpen:

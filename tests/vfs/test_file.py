@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.vfs.file import OpenFile, OpenFlags
+from repro.vfs.file import OpenFile, OpenFlags, wants_read, wants_write
 from repro.vfs.filesystem import FileSystem
 from repro.vfs.inode import FileType
 
@@ -20,22 +20,31 @@ def make_file(fs, data=b"hello world", flags=OpenFlags.O_RDWR):
 
 
 class TestFlags:
+    """Flags are plain ints; the access they grant is read off the
+    access-mode bits."""
+
     def test_rdonly_reads(self):
-        assert OpenFlags.O_RDONLY.wants_read
-        assert not OpenFlags.O_RDONLY.wants_write
+        assert wants_read(OpenFlags.O_RDONLY)
+        assert not wants_write(OpenFlags.O_RDONLY)
 
     def test_wronly(self):
-        assert OpenFlags.O_WRONLY.wants_write
-        assert not OpenFlags.O_WRONLY.wants_read
+        assert wants_write(OpenFlags.O_WRONLY)
+        assert not wants_read(OpenFlags.O_WRONLY)
 
     def test_rdwr(self):
         flags = OpenFlags.O_RDWR
-        assert flags.wants_read and flags.wants_write
+        assert wants_read(flags) and wants_write(flags)
 
     def test_combined_flags_preserved(self):
         flags = OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_EXCL
+        assert type(flags) is int
         assert flags & OpenFlags.O_CREAT
-        assert flags.wants_write
+        assert wants_write(flags)
+
+    def test_open_file_works_out_access_once(self, fs):
+        f = make_file(fs, flags=OpenFlags.O_WRONLY | OpenFlags.O_APPEND)
+        assert f.flags == 0x401
+        assert (f.readable, f.writable) == (False, True)
 
 
 class TestReadWrite:
