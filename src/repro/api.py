@@ -21,7 +21,7 @@ every shape the repo produces (pftables lines, ``save_rules`` text,
 installer callables), and owns the world-builder registry that
 parallel workers previously kept privately.  The per-process lifecycle
 gains an explicit reap path: :meth:`Session.reap` frees the process's
-CoW firewall state (:meth:`~repro.firewall.procstate.ProcState.release`),
+firewall state (:meth:`~repro.firewall.procstate.ProcState.release`),
 its descriptor table, and its pid-census entry — what service mode
 calls on every session close.
 
@@ -267,10 +267,10 @@ class Session:
 
         The service-mode session-close path: closes any descriptors
         still open, marks the process dead, removes it from the pid
-        census, and releases its CoW firewall state bundle
+        census, and releases its firewall state bundle
         (:meth:`~repro.firewall.procstate.ProcState.release`) so a
         reaped session pins no STATE map, decision cache, or context
-        cache regardless of fork history.  No syscalls are issued and
+        cache.  No syscalls are issued and
         nothing is mediated — reaping a process that a rule just
         denied must not change the verdict stream.
         """

@@ -824,8 +824,6 @@ class ProcessFirewall:
             # A stale or absent cache is not rebuilt here: allocation
             # waits for the first recordable verdict, so uncacheable
             # workloads (and short-lived forks) pay only this probe.
-            # The probe view may be fork-shared — reads only; the
-            # memoization below goes through decision_writable().
             dentries = proc.pf.decision_probe(stamp)
             if dentries is not None:
                 known = dentries.get(dkey)
@@ -928,9 +926,6 @@ class ProcessFirewall:
             # Clean default allow: no rule matched, nothing resource-
             # or call-dependent was consulted.  Memoize, keyed on the
             # entrypoint head only when the traversal looked at it.
-            # decision_writable() allocates on the first recordable
-            # verdict under this stamp and breaks any fork share, so
-            # the mutation below never leaks into a relative.
             wentries = proc.pf.decision_writable(stamp)
             if frame.used_entrypoint:
                 head = frame.values[_ENTRYPOINT]

@@ -23,6 +23,7 @@ from repro import errors
 from repro.firewall import matches as mm
 from repro.firewall import targets as tg
 from repro.firewall.rule import Rule
+from repro.security.lsm import Op
 
 #: Verdict / side-effect target names that are NOT user-chain jumps.
 _KNOWN_TARGETS = {"DROP", "ACCEPT", "RETURN", "STATE", "LOG"}
@@ -304,7 +305,7 @@ def parse_rule(text):
 
     if chain is None:
         # No -I/-A: route by operation, defaulting to the input chain.
-        if op_match is not None and op_match.op.value == "SYSCALL_BEGIN":
+        if op_match is not None and op_match.op is Op.SYSCALL_BEGIN:
             chain = "syscallbegin"
         else:
             chain = "input"

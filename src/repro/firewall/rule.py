@@ -68,14 +68,15 @@ class Rule:
         #: surfaced by ``pftables -L -v``-style listings and usable as
         #: a rule-generation signal.
         self.hits = 0
-        #: Union of the context fields the matches and target read.
-        #: Computed once: a rule is immutable once built.  The bits are
-        #: OR-ed as plain ints (each ``|`` on the ``IntFlag`` is a
-        #: Python-level call) and wrapped once.
+        #: Union of the context fields the matches and target read, as
+        #: plain int ``ContextField`` bits: each ``|`` on the
+        #: ``IntFlag``, and each wrap into one, is a Python-level call,
+        #: and :class:`RuleBase` wraps the union of a whole base once.
+        #: Computed once: a rule is immutable once built.
         bits = int(self.target.required_fields)
         for match in self.matches:
             bits |= int(match.required_fields)
-        self.required_fields = ContextField(bits)
+        self.required_fields = bits
 
     def entrypoint_key(self):
         """``(program, offset)`` when this rule is entrypoint-specific."""
@@ -302,7 +303,7 @@ class RuleBase:
         bits = 0
         for table in self.tables.values():
             for rule in table.all_rules():
-                bits |= int(rule.required_fields)
+                bits |= rule.required_fields
         self.required_fields = ContextField(bits)
         return self.required_fields
 
@@ -322,7 +323,7 @@ class RuleBase:
         else:
             chain_obj.insert(rule, position)
         have = int(self.required_fields)
-        bits = have | int(rule.required_fields)
+        bits = have | rule.required_fields
         if bits != have:
             self.required_fields = ContextField(bits)
         self.version += 1

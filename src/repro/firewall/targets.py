@@ -87,8 +87,6 @@ class StateTarget(Target):
         key = self.key.resolve(engine, operation, frame)
         value = self.value.resolve(engine, operation, frame)
         pf = operation.proc.pf
-        # CoW write: a map shared with fork relatives is copied here,
-        # once, and only our side diverges.
         pf.state[key] = value
         # The process dictionary changed: this traversal is not
         # memoizable, and any verdict this process memoized earlier

@@ -158,11 +158,6 @@ class Kernel:
         self.audit = AuditTrail(200000)
         self.audit_enabled = True
         self.stats = KernelStats()
-        #: How ``fork`` propagates the per-process firewall state bundle:
-        #: ``"cow"`` (default) shares it structurally with copy-on-first-
-        #: mutation; ``"eager"`` deep-copies at fork time — the reference
-        #: side of the fork/exec differential suite.
-        self.fork_state_mode = "cow"
         self.sys = SyscallAPI(self)
         #: Monotonic per-kernel syscall sequence; each in-flight syscall
         #: gets one, and firewall context caching keys off it.

@@ -82,11 +82,10 @@ class Process:
         self.exit_code = None
 
         # ---- Process Firewall task_struct extensions (paper §5.1) ----
-        #: The fork-shareable state bundle: the STATE dictionary, the
-        #: negative-decision cache, and the per-syscall context cache,
-        #: all behind the copy-on-write substrate
+        #: The state bundle: the STATE dictionary, the negative-decision
+        #: cache, and the per-syscall context cache
         #: (:class:`repro.firewall.procstate.ProcState`).  ``fork``
-        #: shares it structurally; ``execve`` resets it.
+        #: copies it; ``execve`` resets it.
         self.pf = ProcState()
         #: Per-process rule-traversal state (chain-jump stack), so the
         #: engine is reentrant and the task can be scheduled out mid-walk.

@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 from typing import List
 
+from repro import errors
+
 
 class Op(enum.Enum):
     """LSM operations mediated by the simulation.
@@ -51,18 +53,24 @@ class Op(enum.Enum):
 
     @classmethod
     def from_name(cls, name):
-        """Resolve a rule-language operation name, honouring aliases."""
-        name = name.upper()
-        if name == "LINK_READ":
-            return cls.LNK_FILE_READ
-        if name == "SOCKET_CONNECT":
-            return cls.UNIX_STREAM_SOCKET_CONNECT
-        return cls[name]
+        """Resolve a rule-language operation name (any case, aliases
+        included) through :data:`OPS_BY_NAME`; ``EINVAL`` on a miss."""
+        op = OPS_BY_NAME.get(name.upper())
+        if op is None:
+            raise errors.EINVAL("unknown operation {!r}".format(name))
+        return op
 
 
 #: Rule-language name of every operation: ``op.value`` runs enum's
 #: Python-level property on each read, a probe of this table does not.
 OP_NAMES = {op: op.value for op in Op}
+
+#: Operation of every rule-language name, with the paper's aliases:
+#: ``LINK_READ`` (rule R8) names ``LNK_FILE_READ`` and
+#: ``SOCKET_CONNECT`` names ``UNIX_STREAM_SOCKET_CONNECT``.
+OPS_BY_NAME = {name: op for op, name in OP_NAMES.items()}
+OPS_BY_NAME["LINK_READ"] = Op.LNK_FILE_READ
+OPS_BY_NAME["SOCKET_CONNECT"] = Op.UNIX_STREAM_SOCKET_CONNECT
 
 #: SELinux object class implied by each operation, for policy lookup.
 OP_CLASS = {

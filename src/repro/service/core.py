@@ -20,9 +20,11 @@ time.  For each session it:
    to the serial shape;
 4. **reaps** every process the session created
    (:meth:`repro.api.Session.reap`): descriptors closed, pid census
-   entry removed, CoW firewall state released.  The churn tests pin
-   that a runner's kernel returns to its pre-session census after
-   every close.
+   entry removed, firewall state released.  Fork children that exited
+   during the session are already out of the census.  The churn tests
+   pin that a runner's kernel returns to its pre-session census after
+   every close, and that no process of a finished session stays
+   reachable.
 
 Everything here is importable at module level because workers start
 under the ``multiprocessing`` **spawn** context;
@@ -197,10 +199,6 @@ class SessionRunner:
         for proc in procs:
             if proc.pid in kernel.processes:
                 session.reap(proc)
-            else:
-                # Exited during the session (fork_exec children):
-                # already out of the census; release state only.
-                proc.pf.release()
         self.busy_cpu += time.process_time() - cpu_start
         self.sessions_run += 1
         return {

@@ -464,14 +464,8 @@ class SyscallAPI:
         # invariants set by the parent must keep protecting the forked
         # worker), negative-decision cache (its entries are pure
         # functions of rule base/label/program/entrypoint, all fork-
-        # preserved), and context cache — inherits through the CoW
-        # substrate: O(1) structural share, first writer on either side
-        # pays the copy.  ``kernel.fork_state_mode = "eager"`` selects
-        # the deep-copy baseline for benchmarks and differential tests.
-        mode = kernel.fork_state_mode
-        if mode not in ("cow", "eager"):
-            raise ValueError("unknown fork_state_mode: {!r}".format(mode))
-        child.pf = proc.pf.fork(eager=(mode == "eager"))
+        # preserved), and context cache — is copied to the child.
+        child.pf = proc.pf.fork()
         kernel.processes[child.pid] = child
         return child
 
@@ -503,7 +497,7 @@ class SyscallAPI:
             proc.argv = list(argv)
         if env is not None:
             proc.env = dict(env)
-        proc.pf.execve_reset()
+        proc.pf.release()
         return proc
 
     def exit(self, proc, code=0):

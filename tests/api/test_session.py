@@ -5,7 +5,7 @@ import pytest
 from repro.api import WORLD_BUILDERS, Session, register_world, resolve_engine
 from repro.firewall.engine import EngineConfig
 from repro.firewall.persist import save_rules
-from repro.firewall.procstate import reset_substrate_stats, substrate_stats
+from repro.firewall.procstate import ProcState
 from repro.kernel import Kernel
 from repro.rulesets.default import safe_open_pf_rules
 from repro.security.selinux import reference_policy
@@ -149,10 +149,12 @@ def test_mediate_returns_allow_drop():
 # reap + snapshot
 # ---------------------------------------------------------------------------
 
-def test_reap_frees_census_and_state():
+def test_reap_frees_census_and_state(monkeypatch):
+    released = []
+    release = ProcState.release
+    monkeypatch.setattr(ProcState, "release", lambda self: released.append(release(self)))
     session = Session(rules=safe_open_pf_rules())
     baseline = sorted(session.kernel.processes)
-    reset_substrate_stats()
     proc = session.spawn("churn", binary_path="/bin/sh")
     fd = session.sys.open(proc, "/etc/passwd")
     assert fd in proc.fds
@@ -161,7 +163,7 @@ def test_reap_frees_census_and_state():
     assert not proc.alive
     assert proc.fds == {}
     assert len(proc.pf.state) == 0
-    assert substrate_stats()["releases"] == 1
+    assert len(released) == 1
 
 
 def test_snapshot_shape():

@@ -358,13 +358,12 @@ class TestDecisionCache:
         assert root.pf.decision_cache is not None
         child = world.sys.fork(root)
         assert child.pf.decision_cache is not None
-        # CoW contract: the entries are structurally shared right after
-        # fork (O(1) inheritance) ...
-        assert child.pf.decision_cache[1] is root.pf.decision_cache[1]
+        # The child inherits equal entries in containers of its own ...
+        assert child.pf.decision_cache[1] == root.pf.decision_cache[1]
+        assert child.pf.decision_cache[1] is not root.pf.decision_cache[1]
         before = {k: set(v) if v is not True else True for k, v in root.pf.decision_cache[1].items()}
-        # ... and the first memoization on either side breaks the share:
-        # the child warming a new entrypoint head must not leak into
-        # the parent.
+        # ... so the child warming a new entrypoint head must not leak
+        # into the parent.
         child.call(child.binary, 0x1)
         world.sys.stat(child, "/etc/passwd")
         assert child.pf.decision_cache[1] is not root.pf.decision_cache[1]

@@ -103,6 +103,16 @@ class TestParsing:
         with pytest.raises(errors.EINVAL):
             parse_rule("pftables -z wat -j DROP")
 
+    def test_unknown_operation_rejected(self):
+        with pytest.raises(errors.EINVAL, match="unknown operation 'NOT_AN_OP'"):
+            parse_rule("pftables -A input -o NOT_AN_OP -j DROP")
+
+    def test_operation_aliases_and_case(self):
+        assert parse_rule("pftables -o link_read -j DROP").rule.op is Op.LNK_FILE_READ
+        assert parse_rule("pftables -o SOCKET_CONNECT -j DROP").rule.op is (
+            Op.UNIX_STREAM_SOCKET_CONNECT
+        )
+
     def test_unknown_match_module_rejected(self):
         with pytest.raises(errors.EINVAL):
             parse_rule("pftables -m BOGUS -j DROP")

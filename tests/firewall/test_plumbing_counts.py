@@ -28,7 +28,10 @@ import pytest
 from repro import errors
 from repro.api import Session
 from repro.firewall.context import ContextFrame
+from repro.firewall.engine import EngineConfig, ProcessFirewall
+from repro.rulesets.generated import install_full_rulebase
 from repro.security.lsm import Op, Operation
+from repro.world import build_world
 from tests.plumbing_workloads import COUNTED, TRAP_EVERY, WARMUP, run_build, run_lmbench
 
 
@@ -133,6 +136,38 @@ def test_build_jobs_call_no_enum_code(enum_calls):
     run_build(before_counted=start)
     stop()
     assert calls == []
+
+
+def test_rule_base_install_enum_entries():
+    """Installing the 1,218-rule base enters Python-level ``enum`` code
+    33 times.  ``-o`` operands resolve through a name table and each
+    rule keeps its context fields as plain int bits, so what is left
+    is the ``IntFlag`` arithmetic of the rules whose fields depend on
+    their operands (STATE, COMPARE, ADVERSARY) and the rule base's
+    wraps of its widening union.  Entries from outside ``enum.py`` are
+    counted, not every call: how many calls one entry makes depends on
+    which flag combinations earlier code in the process already
+    built."""
+    firewall = ProcessFirewall(EngineConfig.compiled())
+    build_world().attach_firewall(firewall)
+    entries = []
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if (
+            event == "call"
+            and frame.f_code.co_filename == enum.__file__
+            and frame.f_back.f_code.co_filename != enum.__file__
+        ):
+            entries.append(frame.f_back.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        install_full_rulebase(firewall)
+    finally:
+        sys.setprofile(previous)
+    assert firewall.rules.rule_count() == 1218
+    assert len(entries) == 33
 
 
 RULE_GETUID = "pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_getuid -j DROP"

@@ -1,23 +1,23 @@
-"""Differential harness: CoW vs eager fork-state must be invisible.
+"""Fork/exec transparency: firewall state copied at fork must be invisible.
 
-``kernel.fork_state_mode`` selects how ``fork(2)`` propagates the
-per-process firewall bundle — O(1) structural sharing (``cow``, the
-default) or the deep-copy baseline (``eager``).  The choice is an
-engine-internal optimization; nothing observable may change.  Three
+``fork(2)`` gives the child its own copies of the per-process firewall
+bundle (STATE dictionary, decision cache, context cache).  The
+reference is the eager-copy fork mode this repository once carried
+next to a copy-on-write one: its observables on the probes below are
+pinned as literals, and the fork of today must reproduce them.  Three
 probes:
 
-1. Every Table 4 exploit (E1–E9) runs attack + benign under both
-   modes, with a fork+execve storm *interposed* between scenario setup
-   and the exploit (every live process forks a worker that execs and
-   exits, plus one long-lived forked bystander) — identical outcomes,
-   drop counts, stats, and log records.
+1. Every Table 4 exploit (E1–E9) runs attack + benign with a
+   fork+execve storm *interposed* between scenario setup and the
+   exploit (every live process forks a worker that execs and exits,
+   plus one long-lived forked bystander) — pinned outcomes, drop
+   counts, stats, and log records.
 2. A recorded fork/exec-heavy workload with live STATE rule traffic
    (binds recording invariants pre-fork, children tripping and
-   re-recording them) replays against full-rulebase worlds in both
-   modes — identical executed/failure streams, verdicts, and logs.
-3. Parent/child decision caches must share right after fork and
-   diverge independently afterwards (the CoW contract, asserted via
-   the same workload).
+   re-recording them) replays against a full-rulebase world — pinned
+   executed/failure streams, verdicts, and logs.
+3. Parent/child decision caches must be equal but separate right after
+   fork and diverge independently afterwards.
 """
 
 import pytest
@@ -30,9 +30,6 @@ from repro.rulesets.generated import install_full_rulebase
 from repro.workloads.replay import record_syscalls, replay
 from repro.world import build_world, spawn_root_shell
 
-MODES = ("cow", "eager")
-
-
 def _strip_time(records):
     return [{k: v for k, v in rec.items() if k != "time"} for rec in records]
 
@@ -42,8 +39,8 @@ def _interpose_fork_exec(kernel):
 
     Each pre-existing process forks a worker that execs a fresh image
     (dropping its bundle) and exits, then forks a bystander that stays
-    alive holding the shared snapshot — so if CoW leaked writes across
-    relatives, the exploit run after this storm would see it.
+    alive holding the inherited state — so if a fork leaked writes
+    across relatives, the exploit run after this storm would see it.
     """
     for pid in sorted(kernel.processes):
         proc = kernel.processes[pid]
@@ -73,15 +70,11 @@ def _attack_result(scenario):
     return AttackResult(bool(succeeded), blocked=blocked, detail="")
 
 
-def _scenario_observables(scenario_cls, mode):
-    """Attack + benign observables under one fork-state mode."""
-
-    def set_mode(firewall):
-        firewall.kernel.fork_state_mode = mode
-
+def _scenario_observables(scenario_cls):
+    """Attack + benign observables after an interposed fork storm."""
     out = {}
     scenario = scenario_cls()
-    scenario.build(True, config=EngineConfig.compiled(), instrument=set_mode)
+    scenario.build(True, config=EngineConfig.compiled())
     _interpose_fork_exec(scenario.kernel)
     result = _attack_result(scenario)
     out["attack"] = (result.succeeded, result.blocked, result.denied)
@@ -89,7 +82,7 @@ def _scenario_observables(scenario_cls, mode):
     out["attack_stats"] = (stats.invocations, stats.accepts, stats.drops)
     out["attack_logs"] = _strip_time(scenario.firewall.audit.records(kind="log"))
     benign = scenario_cls()
-    benign.build(True, config=EngineConfig.compiled(), instrument=set_mode)
+    benign.build(True, config=EngineConfig.compiled())
     _interpose_fork_exec(benign.kernel)
     out["benign"] = bool(benign._benign())
     benign_stats = benign.firewall.stats
@@ -98,11 +91,36 @@ def _scenario_observables(scenario_cls, mode):
     return out
 
 
+#: ``_scenario_observables`` per exploit under the eager-copy fork mode:
+#: ``(attack outcome, attack stats, benign outcome, benign stats)``,
+#: outcomes as ``(succeeded, blocked, denied)`` and stats as
+#: ``(invocations, accepts, drops)``.  No rule of these scenarios logs,
+#: so both audit-log lists were empty.
+PINNED_EXPLOITS = {
+    "E1": ((False, True, False), (34, 33, 1), True, (26, 26, 0)),
+    "E2": ((False, True, False), (27, 26, 1), True, (26, 26, 0)),
+    "E3": ((False, True, False), (41, 40, 1), True, (43, 43, 0)),
+    "E4": ((False, True, False), (32, 31, 1), True, (25, 25, 0)),
+    "E5": ((False, True, False), (13, 12, 1), True, (15, 15, 0)),
+    "E6": ((False, True, False), (38, 37, 1), True, (24, 24, 0)),
+    "E7": ((False, True, False), (27, 26, 1), True, (25, 25, 0)),
+    "E8": ((False, True, False), (27, 26, 1), True, (24, 24, 0)),
+    "E9": ((False, True, False), (23, 22, 1), True, (23, 23, 0)),
+}
+
+
 @pytest.mark.parametrize("eid", sorted(EXPLOITS))
 def test_exploits_identical_across_fork_modes(eid):
-    reference = _scenario_observables(EXPLOITS[eid], "eager")
-    cow = _scenario_observables(EXPLOITS[eid], "cow")
-    assert cow == reference
+    """Today's fork reproduces the eager-copy mode's pinned observables."""
+    attack, attack_stats, benign, benign_stats = PINNED_EXPLOITS[eid]
+    assert _scenario_observables(EXPLOITS[eid]) == {
+        "attack": attack,
+        "attack_stats": attack_stats,
+        "attack_logs": [],
+        "benign": benign,
+        "benign_stats": benign_stats,
+        "benign_logs": [],
+    }
 
 
 def _fork_state_workload(world, shell):
@@ -153,13 +171,12 @@ STATE_RULES = (
 )
 
 
-def _replay_observables(trace, recorded_pid, mode):
+def _replay_observables(trace, recorded_pid):
     world = build_world()
     firewall = ProcessFirewall(EngineConfig.compiled())
     world.attach_firewall(firewall)
     install_full_rulebase(firewall)
     firewall.install_all(list(STATE_RULES))
-    world.fork_state_mode = mode
     shell = spawn_root_shell(world)
     result = replay(world, trace, {recorded_pid: shell})
     return {
@@ -170,19 +187,25 @@ def _replay_observables(trace, recorded_pid, mode):
     }
 
 
+#: ``_replay_observables`` of the recorded workload under the eager-copy
+#: fork mode: three TOCTTOU chmods dropped, no log record.
+PINNED_REPLAY = {
+    "executed": 33,
+    "failures": [("chmod", "EACCES")] * 3,
+    "stats": (119, 116, 3),
+    "logs": [],
+}
+
+
 def test_fork_state_workload_replays_identically():
     trace, recorded_pid = _record_trace()
     assert len(trace) > 20
-    reference = _replay_observables(trace, recorded_pid, "eager")
-    cow = _replay_observables(trace, recorded_pid, "cow")
-    assert cow == reference
-    assert reference["executed"] > 20
-    assert reference["stats"][0] > 0
+    assert _replay_observables(trace, recorded_pid) == PINNED_REPLAY
 
 
 def test_decision_caches_share_then_diverge():
-    """The CoW contract on the decision cache, end to end: shared
-    entries right after fork, independent divergence after."""
+    """The fork contract on the decision cache, end to end: equal but
+    separate entries right after fork, independent divergence after."""
     world = build_world()
     firewall = ProcessFirewall(EngineConfig.compiled())
     world.attach_firewall(firewall)
@@ -192,10 +215,10 @@ def test_decision_caches_share_then_diverge():
         world.sys.stat(shell, "/etc/passwd")
     assert shell.pf.decision_cache is not None
     child = world.sys.fork(shell)
-    assert child.pf.decision_cache[1] is shell.pf.decision_cache[1]
+    assert child.pf.decision_cache[1] == shell.pf.decision_cache[1]
+    assert child.pf.decision_cache[1] is not shell.pf.decision_cache[1]
     child.call(child.binary, 0x51)
     world.sys.stat(child, "/etc/passwd")
-    assert child.pf.decision_cache[1] is not shell.pf.decision_cache[1]
     shell.call(shell.binary, 0x52)
     world.sys.stat(shell, "/etc/passwd")
 

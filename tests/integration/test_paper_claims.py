@@ -5,14 +5,58 @@ test states the claim it checks.  Absolute numbers are Python-speed,
 so every assertion is about *ordering and direction*, never magnitude.
 """
 
+import os
+import sys
+
 import pytest
 
 from repro import errors
 from repro.firewall.engine import EngineConfig, ProcessFirewall
 from repro.rulesets.generated import install_full_rulebase
+from repro.workloads import lmbench
 from repro.workloads.lmbench import LmbenchSuite, time_operation
 from repro.workloads.openbench import syscall_counts
 from repro.world import build_world, spawn_root_shell
+
+
+TOOLS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "tools")
+
+
+def _bytecodes_per_op(fn, calls=2):
+    """Bytecodes one ``fn()`` executes, averaged over ``calls`` after a
+    warm-up call (``tools/work_ledger.py``): a count, so independent of
+    host speed."""
+    sys.path.insert(0, os.path.abspath(TOOLS_DIR))
+    try:
+        from work_ledger import count_bytecodes
+    finally:
+        sys.path.pop(0)
+    fn()
+    return sum(count_bytecodes(lambda: [fn() for _ in range(calls)]).values()) / calls
+
+
+def _counted_column(column, monkeypatch=None, config=None, full_rules=True):
+    """``{"stat": n, "null": n}`` bytecodes per call for a Table 6
+    column at the fixture's 400 rules, or for ``config`` registered as
+    an extra column."""
+    if config is not None:
+        monkeypatch.setitem(lmbench.TABLE6_COLUMNS, column, (config, full_rules, False))
+    suite = LmbenchSuite(column, rule_count=400)
+    return {"stat": _bytecodes_per_op(suite.op_stat), "null": _bytecodes_per_op(suite.op_null)}
+
+
+def recovers_cost(stat, null):
+    """Entrypoint chains cut ``stat``, lazy retrieval cuts ``null``."""
+    return stat["EPTSPC"] < stat["FULL"] * 0.8 and null["LAZYCON"] < null["FULL"] * 0.8
+
+
+def base_is_cheap(stat):
+    return stat["BASE"] < stat["FULL"] and stat["BASE"] <= stat["DISABLED"] * 1.6
+
+
+def stat_hit_harder_than_null(stat, null):
+    """FULL's added cost over DISABLED: ``stat`` pays a multiple of ``null``."""
+    return stat["FULL"] - stat["DISABLED"] > 3 * (null["FULL"] - null["DISABLED"])
 
 
 class TestTable6Shape:
@@ -100,6 +144,55 @@ class TestTable6Shape:
             for op in ("stat", "null")
         }
         assert added["stat"] > 3 * added["null"]
+
+    @pytest.fixture(scope="class")
+    def bytecodes(self):
+        """Bytecodes per ``stat`` and ``null`` call, per column, split
+        into the two ``{column: n}`` maps."""
+        counted = {
+            column: _counted_column(column)
+            for column in ("DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC")
+        }
+        return tuple({c: w[op] for c, w in counted.items()} for op in ("stat", "null"))
+
+    def test_optimizations_recover_cost_counted(self, bytecodes):
+        """Deterministic companion of :meth:`test_optimizations_recover_cost`."""
+        assert recovers_cost(*bytecodes)
+
+    def test_base_is_cheap_counted(self, bytecodes):
+        """Deterministic companion of :meth:`test_base_is_cheap`."""
+        assert base_is_cheap(bytecodes[0])
+
+    def test_stat_hit_harder_than_null_counted(self, bytecodes):
+        """Deterministic companion of :meth:`test_stat_hit_harder_than_null`."""
+        assert stat_hit_harder_than_null(*bytecodes)
+
+    def test_counted_companions_fail_on_broken_rungs(self, bytecodes, monkeypatch):
+        """Each counted companion fails when one rung is broken:
+
+        - EPTSPC with ``entrypoint_chains`` off scans every rule of
+          ``stat``'s hooks again, and LAZYCON with ``lazy_context`` off
+          collects ``null``'s fields eagerly again;
+        - BASE on the unoptimized engine (``EngineConfig.preset("BASE")``)
+          does eager per-hook work even without rules;
+        - FULL with ``enabled=False`` mediates nothing, so neither
+          syscall pays anything over DISABLED.
+        """
+        stat, null = (dict(m) for m in bytecodes)
+        for column, broken in (
+            ("EPTSPC", EngineConfig(entrypoint_chains=False)),
+            ("LAZYCON", EngineConfig(lazy_context=False, entrypoint_chains=False)),
+        ):
+            counted = _counted_column("broken-" + column, monkeypatch, broken)
+            assert not recovers_cost(
+                dict(stat, **{column: counted["stat"]}), dict(null, **{column: counted["null"]})
+            ), column
+        counted = _counted_column("broken-BASE", monkeypatch, EngineConfig.preset("BASE"), False)
+        assert not base_is_cheap(dict(stat, BASE=counted["stat"]))
+        counted = _counted_column("broken-FULL", monkeypatch, EngineConfig.disabled())
+        assert not stat_hit_harder_than_null(
+            dict(stat, FULL=counted["stat"]), dict(null, FULL=counted["null"])
+        )
 
 
 class TestFigure4Shape:

@@ -69,7 +69,7 @@ class TestOpNames:
         assert Op.from_name("file_open") is Op.FILE_OPEN
 
     def test_unknown_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(errors.EINVAL):
             Op.from_name("NOT_AN_OP")
 
     def test_every_op_has_class_and_perm(self):

@@ -26,22 +26,20 @@ STATE_RULES = (
 )
 
 
-def _state_world(mode="cow"):
+def _state_world():
     kernel = build_world()
     firewall = ProcessFirewall(EngineConfig.compiled())
     kernel.attach_firewall(firewall)
-    kernel.fork_state_mode = mode
     for text in STATE_RULES:
         firewall.install(text)
     return kernel, firewall
 
 
 class TestForkStateInheritance:
-    @pytest.mark.parametrize("mode", ["cow", "eager"])
-    def test_state_rule_set_pre_fork_changes_child_verdict(self, mode):
+    def test_state_rule_set_pre_fork_changes_child_verdict(self):
         """The regression: a STATE invariant recorded before fork must
         flip the *child's* verdict on the protected operation."""
-        kernel, _ = _state_world(mode)
+        kernel, _ = _state_world()
         parent = kernel.sys.fork(spawn_root_shell(kernel))
         kernel.sys.bind(parent, "/tmp/decoy.sock")
         kernel.sys.bind(parent, "/tmp/real.sock")  # records real.sock's inode
@@ -101,8 +99,9 @@ class TestDecisionCacheDivergence:
     def test_parent_and_child_caches_diverge_independently(self):
         kernel, parent = self._warm_world()
         child = kernel.sys.fork(parent)
-        assert child.pf.decision_cache[1] is parent.pf.decision_cache[1]
-        # Child memoizes a new entrypoint head: its cache forks off.
+        assert child.pf.decision_cache[1] == parent.pf.decision_cache[1]
+        assert child.pf.decision_cache[1] is not parent.pf.decision_cache[1]
+        # Child memoizes a new entrypoint head into its own entries.
         child.call(child.binary, 0x1)
         kernel.sys.stat(child, "/etc/passwd")
         child_entries = child.pf.decision_cache[1]
@@ -113,7 +112,7 @@ class TestDecisionCacheDivergence:
         assert ("/bin/sh", 0x1) in child_heads
         assert ("/bin/sh", 0x1) not in parent_heads
         # Divergence is symmetric: the parent keeps memoizing into its
-        # own (now private) entries without touching the child's.
+        # own entries without touching the child's.
         parent.call(parent.binary, 0x2)
         kernel.sys.stat(parent, "/etc/passwd")
         assert ("/bin/sh", 0x2) in parent_heads or ("/bin/sh", 0x2) in next(

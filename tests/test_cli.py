@@ -52,6 +52,20 @@ class TestParse:
         assert main(["parse", "/no/such/file.pf"]) == 1
 
 
+class TestLint:
+    def test_unknown_operation_is_an_error_line(self, tmp_path, capsys):
+        """An unknown ``-o`` operand reads like an unknown flag, not
+        like a crash."""
+        path = tmp_path / "bad.pf"
+        for line, message in (
+            ("pftables -A input -o NOT_AN_OP -j DROP", "unknown operation 'NOT_AN_OP'"),
+            ("pftables -A input -Z x -j DROP", "unknown pftables flag '-Z'"),
+        ):
+            path.write_text(line + "\n")
+            assert main(["lint", str(path)]) == 1
+            assert capsys.readouterr().err == "pfctl: {}\n".format(message)
+
+
 class TestFmtListSave:
     def test_fmt_output_reparses(self, rules_file, capsys, tmp_path):
         assert main(["fmt", rules_file]) == 0
