@@ -29,7 +29,10 @@ memoizes default-allow verdicts whose traversal consulted nothing
 resource- or call-dependent — see ``docs/INTERNALS.md``.  Both
 entrypoint-chain rungs (EPTSPC, COMPILED) also skip a ``syscallbegin``
 chain whose syscall index (``Chain.syscalls``) excludes the syscall
-being begun.  See ``docs/COMPILATION.md`` for the full ladder.
+being begun, and answer the ``DIR_SEARCH`` steps of a path walk once
+(:meth:`ProcessFirewall.answer_walk`) where every step would be
+allowed from the fast path or the decision cache.  See
+``docs/COMPILATION.md`` for the full ladder.
 
 The engine also hosts the :mod:`repro.obs` observability layer:
 decision traces (opt-in via :meth:`ProcessFirewall.enable_tracing`),
@@ -55,7 +58,7 @@ from repro.firewall.context import (
     ContextField,
     ContextFrame,
 )
-from repro.firewall.modules.registry import collect_field
+from repro.firewall.modules.registry import collect_field, count_collection, entrypoint_head
 from repro.firewall.rule import RuleBase
 from repro.obs.audit import WARNING, AuditRing
 from repro.obs.metrics import (
@@ -126,6 +129,7 @@ PRESET_ALIASES = {"JITTED": "COMPILED"}
 
 #: Bound once: enum class attribute lookups are slow on the hot path.
 _SYSCALL_BEGIN = Op.SYSCALL_BEGIN
+_DIR_SEARCH = Op.DIR_SEARCH
 _ENTRYPOINT = ContextField.ENTRYPOINT
 
 #: "No entrypoint head read yet" (``None`` and ``()`` are real heads).
@@ -334,6 +338,55 @@ class EngineStats:
         return self
 
 
+#: How a :class:`WalkAnswer` allows a step: by the fast path, by a
+#: ``True`` decision-cache entry, or by an entrypoint-keyed entry whose
+#: head the context cache holds (``_WALK_HEAD``) or that was read from
+#: the stack and is cached at the first accept (``_WALK_HEAD_READ``).
+_WALK_FAST_PATH, _WALK_DECIDED, _WALK_HEAD, _WALK_HEAD_READ = range(4)
+
+
+class WalkAnswer:
+    """The firewall's answer for the ``DIR_SEARCH`` steps of one walk.
+
+    Made by :meth:`ProcessFirewall.answer_walk` when
+    :meth:`ProcessFirewall.mediate` would allow every such step without
+    a context frame or a record.  :meth:`accept` books what one such
+    mediation counts; a head read from the stack is booked as a
+    collection and stored in the context cache at the first accept,
+    as :meth:`ProcessFirewall._entrypoint_head` would have, and counts
+    as a context-cache hit from then on.
+    """
+
+    __slots__ = ("stats", "kind", "proc", "seq", "head", "values")
+
+    def __init__(self, stats, kind, proc=None, seq=None, head=None, values=None):
+        self.stats = stats
+        self.kind = kind
+        self.proc = proc
+        self.seq = seq
+        self.head = head
+        #: The context-cache fields of syscall ``seq`` besides the head.
+        self.values = values
+
+    def accept(self):
+        """Count one allowed ``DIR_SEARCH`` mediation."""
+        stats = self.stats
+        stats.invocations += 1
+        stats.accepts += 1
+        kind = self.kind
+        if kind:
+            stats.decision_cache_hits += 1
+            if kind == _WALK_HEAD:
+                stats.cache_hits += 1
+            elif kind == _WALK_HEAD_READ:
+                self.kind = _WALK_HEAD
+                count_collection(_ENTRYPOINT, stats)
+                values = dict(self.values)
+                values[_ENTRYPOINT] = self.head
+                # Replace-on-write: fork relatives may hold the old tuple.
+                self.proc.pf.context_cache = (self.seq, values)
+
+
 class ProcessFirewall:
     """The firewall proper: rule base + engine + statistics.
 
@@ -524,7 +577,8 @@ class ProcessFirewall:
         syscall's head (one ``cache_hits``, as :meth:`ensure` counts
         it); otherwise collected and stored back replace-on-write, as
         :meth:`_writeback_context` would, so the rest of the syscall
-        reuses it.
+        reuses it.  A collection no tracer or metrics record reads the
+        head off the stack directly, as a :class:`WalkAnswer` does.
         """
         caching = self.config.context_cache and seq is not None
         values = {}
@@ -535,7 +589,11 @@ class ProcessFirewall:
                 if _ENTRYPOINT in values:
                     self._note_cache_hit(_ENTRYPOINT, trace)
                     return values[_ENTRYPOINT]
-        head = self._collect_checked(_ENTRYPOINT, operation, None, trace)
+        if trace is None and not self.metrics.enabled:
+            head = entrypoint_head(proc)
+            count_collection(_ENTRYPOINT, self.stats)
+        else:
+            head = self._collect_checked(_ENTRYPOINT, operation, None, trace)
         if caching:
             values = dict(values)
             values[_ENTRYPOINT] = head
@@ -570,6 +628,59 @@ class ProcessFirewall:
             stats.accepts += 1
             return
         self.mediate(syscall_begin_operation(proc, name, args, seq))
+
+    def answer_walk(self, proc, seq):
+        """A :class:`WalkAnswer` for the ``DIR_SEARCH`` steps of one walk
+        of syscall ``seq`` by ``proc``; ``False`` when there is none for
+        the rest of the walk segment, ``None`` when there is none yet.
+
+        :meth:`repro.kernel.Kernel.authorize_walk` asks.  There is an
+        answer only where :meth:`mediate` would allow such a step,
+        record nothing and build no frame.  No mediation inside a walk
+        segment changes the configuration or attaches an observer, so
+        ``False`` stands for the segment unless the engine is enabled
+        with entrypoint chains, the global-traversal ablation is off,
+        no tracer or metrics watch, and either no chain can match
+        ``DIR_SEARCH`` or the decision and context caches are on.  A
+        step mediated one by one may record a decision-cache entry, so
+        ``None`` stands only until the next ``LOOKUP``: there is an
+        answer when the decision cache holds ``(DIR_SEARCH, proc.label,
+        None)`` as ``True`` or with the syscall's entrypoint head.  The
+        head comes from the context cache, or from the stack with no
+        :class:`Operation`; nothing is counted or stored until
+        :meth:`WalkAnswer.accept`.
+        """
+        config = self.config
+        if (
+            not config.enabled
+            or not config.entrypoint_chains
+            or config.global_traversal_state
+            or self.tracer is not None
+            or self.metrics.enabled
+        ):
+            return False
+        if not self._relevant_chains(_DIR_SEARCH):
+            return WalkAnswer(self.stats, _WALK_FAST_PATH)
+        if not config.decision_cache or not config.context_cache:
+            return False
+        dentries = proc.pf.decision_probe(self.rules.stamp)
+        if dentries is None:
+            return None
+        known = dentries.get((_DIR_SEARCH, proc.label, None))
+        if known is None:
+            return None
+        if known is True:
+            return WalkAnswer(self.stats, _WALK_DECIDED)
+        cache = proc.pf.context_cache
+        values = cache[1] if cache is not None and cache[0] == seq else {}
+        if _ENTRYPOINT in values:
+            if values[_ENTRYPOINT] in known:
+                return WalkAnswer(self.stats, _WALK_HEAD)
+            return None
+        head = entrypoint_head(proc)
+        if head not in known:
+            return None
+        return WalkAnswer(self.stats, _WALK_HEAD_READ, proc, seq, head, values)
 
     def mediate(self, operation):
         """Evaluate the rule base; raise :class:`PFDenied` on DROP.

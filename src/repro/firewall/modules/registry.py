@@ -63,7 +63,11 @@ def _program(operation, kernel):
 
 
 def _entrypoint(operation, kernel):
-    """The innermost resolvable call site: ``(image_path, rel_pc)``.
+    return entrypoint_head(operation.proc)
+
+
+def entrypoint_head(proc):
+    """The innermost resolvable call site of ``proc``: ``(image_path, rel_pc)``.
 
     The whole stack is unwound and validated first, so a corrupted
     frame at any depth inside the frame cap aborts collection and
@@ -76,7 +80,7 @@ def _entrypoint(operation, kernel):
     only this head.  ``()`` when no frame maps.
     """
     try:
-        frames = operation.proc.stack.unwind()
+        frames = proc.stack.unwind()
     except errors.EFAULT:
         return ()
     for frame in frames:
@@ -197,3 +201,14 @@ def collect_field(field, operation, kernel, frame, stats=None):
         collections[name] = collections.get(name, 0) + 1
         stats.context_cost += module.cost
     return value
+
+
+def count_collection(field, stats):
+    """Book one collection of ``field`` (and its module's cost) in
+    ``stats``, as :func:`collect_field` does, for a value read without
+    an operation.  :func:`collect_field` keeps the same lines inline:
+    it runs on every collection, and the call would cost each one."""
+    collections = stats.context_collections
+    name = FIELD_NAMES[field]
+    collections[name] = collections.get(name, 0) + 1
+    stats.context_cost += CONTEXT_MODULES[field].cost

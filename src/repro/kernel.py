@@ -21,7 +21,7 @@ from repro.clock import LogicalClock
 from repro.proc.process import Credentials, Process
 from repro.proc.stack import BinaryImage
 from repro.security.adversary import AdversaryModel
-from repro.security.dac import dac_check
+from repro.security.dac import dac_check, permits
 from repro.security.lsm import OP_NAMES, LSMDispatcher
 from repro.security.selinux import SELinuxModule
 from repro.syscalls.api import SyscallAPI
@@ -128,6 +128,45 @@ class KernelStats:
     def total_syscalls(self):
         """Syscalls issued, over every name."""
         return sum(self.syscalls.values())
+
+
+class WalkGrant:
+    """One walk segment's authorization of its ``LOOKUP`` steps.
+
+    Made by :meth:`Kernel.authorize_walk`.  :meth:`admits` runs DAC
+    search permission and the SELinux ``dir search`` check live for
+    each directory, as :meth:`Kernel.mediate` would, and only when
+    both pass books the counts that mediation would have made; the
+    firewall's part comes from its
+    :class:`~repro.firewall.engine.WalkAnswer`.
+    """
+
+    __slots__ = ("stats", "lsm", "creds", "policy", "subject", "answer")
+
+    def __init__(self, kernel, proc, policy, answer):
+        self.stats = kernel.stats
+        self.lsm = kernel.lsm
+        self.creds = proc.creds
+        #: The enforcing SELinux policy, or ``None`` when no MAC runs.
+        self.policy = policy
+        self.subject = proc.label
+        self.answer = answer
+
+    def admits(self, directory):
+        """Authorize a search of ``directory``; ``False`` (nothing
+        counted) hands the step to :meth:`Kernel.mediate`."""
+        creds = self.creds
+        if not permits(directory, creds.euid, creds.egid, "x"):
+            return False
+        policy = self.policy
+        if policy is not None:
+            label = directory.label
+            if label is not None and not policy.allows(self.subject, label, "dir", "search"):
+                return False
+        self.stats.mediations += 1
+        self.lsm.invocations += 1
+        self.answer.accept()
+        return True
 
 
 class Kernel:
@@ -252,6 +291,36 @@ class Kernel:
         if self.firewall is not None:
             self.firewall.begin_syscall(proc, name, args, seq)
         return seq
+
+    def authorize_walk(self, proc, seq):
+        """A :class:`WalkGrant` for the ``DIR_SEARCH`` steps of a walk by
+        ``proc`` in syscall ``seq``; ``False`` when there is none for
+        the rest of the walk segment, ``None`` when there is none yet.
+
+        The kernel's conditions hold for a whole walk: the kernel audit
+        trail is off (a grant writes no record), a firewall is
+        attached, and no LSM module other than :attr:`selinux` is
+        registered.  Then the firewall must answer
+        (:meth:`repro.firewall.engine.ProcessFirewall.answer_walk`, whose
+        ``False`` or ``None`` is passed on).  The walk keeps a grant,
+        or a ``False``, until its next ``SYMLINK_FOLLOW``; it drops a
+        grant at a step the grant refuses, and asks again at each
+        ``LOOKUP`` while it holds ``None``.
+        """
+        firewall = self.firewall
+        if self.audit_enabled or firewall is None:
+            return False
+        modules = self.lsm.modules
+        policy = None
+        if modules:
+            if len(modules) > 1 or modules[0] is not self.selinux:
+                return False
+            if self.selinux.policy.enforcing:
+                policy = self.selinux.policy
+        answer = firewall.answer_walk(proc, seq)
+        if not answer:
+            return answer
+        return WalkGrant(self, proc, policy, answer)
 
     def mediate(self, operation, want=None, audit_path=None):
         """Authorize one resource access: DAC -> MAC -> Process Firewall.

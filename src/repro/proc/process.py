@@ -58,6 +58,7 @@ class Process:
         env=None,
         argv=None,
         ppid=0,
+        pf=None,
     ):
         self.pid = pid
         self.ppid = ppid
@@ -85,8 +86,8 @@ class Process:
         #: The state bundle: the STATE dictionary, the negative-decision
         #: cache, and the per-syscall context cache
         #: (:class:`repro.firewall.procstate.ProcState`).  ``fork``
-        #: copies it; ``execve`` resets it.
-        self.pf = ProcState()
+        #: passes the child its copy; ``execve`` resets it.
+        self.pf = ProcState() if pf is None else pf
         #: Per-process rule-traversal state (chain-jump stack), so the
         #: engine is reentrant and the task can be scheduled out mid-walk.
         #: Always empty at syscall boundaries, hence not fork-inherited.

@@ -165,21 +165,23 @@ class LSMDispatcher:
     """
 
     def __init__(self):
-        self._modules = []  # type: List[object]
+        #: The registered modules, in authorization order (change it
+        #: through :meth:`register` and :meth:`unregister`).
+        self.modules = []  # type: List[object]
         #: Count of hook invocations, used by the benchmarks' cost model.
         self.invocations = 0
 
     def register(self, module):
         """Append ``module`` to the authorization order; returns it."""
-        self._modules.append(module)
+        self.modules.append(module)
         return module
 
     def unregister(self, module):
         """Remove a registered module."""
-        self._modules.remove(module)
+        self.modules.remove(module)
 
     def authorize(self, operation):
         """Run every module; the first raise denies the operation."""
         self.invocations += 1
-        for module in self._modules:
+        for module in self.modules:
             module.authorize(operation)

@@ -74,11 +74,16 @@ def record_mediations(firewall):
     ``begin_syscall`` is shadowed too, by a form that always builds
     the ``SYSCALL_BEGIN`` operation and mediates it: the engine's own
     ``begin_syscall`` skips the operation when the syscall index
-    proves the allow, and the stream must still hold it.
+    proves the allow, and the stream must still hold it.  For the same
+    reason ``answer_walk`` is shadowed by a form that never answers
+    (``False``), so no walk is granted and every ``DIR_SEARCH`` is an
+    operation.
     """
     captured = []
-    previous = firewall.__dict__.get("mediate")
-    previous_begin = firewall.__dict__.get("begin_syscall")
+    shadowed = firewall.__dict__
+    previous = shadowed.get("mediate")
+    previous_begin = shadowed.get("begin_syscall")
+    previous_answer = shadowed.get("answer_walk")
     original = firewall.mediate
 
     def recording_mediate(operation):
@@ -90,6 +95,7 @@ def record_mediations(firewall):
 
     firewall.mediate = recording_mediate
     firewall.begin_syscall = recording_begin_syscall
+    firewall.answer_walk = _no_walk_answer
     try:
         yield captured
     finally:
@@ -101,6 +107,16 @@ def record_mediations(firewall):
             del firewall.begin_syscall
         else:
             firewall.begin_syscall = previous_begin
+        if previous_answer is None:
+            del firewall.answer_walk
+        else:
+            firewall.answer_walk = previous_answer
+
+
+def _no_walk_answer(proc, seq):
+    """``answer_walk`` under :func:`record_mediations`: no answer for
+    the rest of the walk segment."""
+    return False
 
 
 class SessionRunner:

@@ -6,7 +6,13 @@ Each syscall follows the same discipline:
 2. mediated path walk — one ``DIR_SEARCH`` per component and one
    ``LNK_FILE_READ`` per symlink traversal, each passing DAC -> MAC ->
    Process Firewall (this is what lets per-component rules like
-   ``safe_open_PF`` and R8 see every step);
+   ``safe_open_PF`` and R8 see every step).  A walk-cache hit replays
+   every step.  When the kernel grants the walk
+   (:meth:`repro.kernel.Kernel.authorize_walk`), its ``DIR_SEARCH``
+   steps still run DAC and MAC one by one, but the firewall answers
+   them once, from its own decision cache or fast path, until the
+   next ``SYMLINK_FOLLOW`` or refused step; counts stay those of one
+   mediation per step;
 3. a final mediated operation specific to the call (``FILE_OPEN``,
    ``SOCKET_BIND``, ``PROCESS_SIGNAL_DELIVERY``, ...).
 
@@ -39,6 +45,9 @@ from repro.vfs.stat import StatResult
 #: Default creation mask applied to new files and directories.
 DEFAULT_UMASK = 0o022
 
+#: Bound once: the walk observer compares every step's event to it.
+_LOOKUP = WalkEvent.LOOKUP
+
 #: Signals whose default disposition terminates the process.
 _DEFAULT_FATAL = frozenset(
     {sig.SIGHUP, sig.SIGINT, sig.SIGKILL, sig.SIGSEGV, sig.SIGALRM, sig.SIGTERM, sig.SIGUSR1, sig.SIGUSR2}
@@ -56,27 +65,45 @@ class SyscallAPI:
     # ------------------------------------------------------------------
 
     def _walk(self, proc, path, syscall, seq, follow_final=True, want_parent=False):
-        """Resolve ``path`` with per-component mediation."""
-        last_dir = [None]  # directory most recently searched (link parent)
+        """Resolve ``path`` with per-component mediation.
+
+        A ``LOOKUP`` is authorized through a :class:`repro.kernel.WalkGrant`
+        when the kernel grants one (:meth:`Kernel.authorize_walk` says
+        when the walk asks again); every other step is an
+        :class:`Operation` for :meth:`Kernel.mediate`.  A
+        ``SYMLINK_FOLLOW`` ends what the walk was told, because its
+        mediation may change the firewall's answer.
+        """
+        last_dir = None  # directory most recently searched (link parent)
+        grant = None
         kernel = self.kernel
         mediate = kernel.mediate
+        authorize_walk = kernel.authorize_walk
         walker = kernel.walker
 
         args = (path,)
         audited = kernel.audit_enabled
 
         def observe(step):
-            if step.event is WalkEvent.LOOKUP:
-                last_dir[0] = step.inode
+            nonlocal last_dir, grant
+            if step.event is _LOOKUP:
+                directory = last_dir = step.inode
+                if grant is None:
+                    grant = authorize_walk(proc, seq)
+                if grant:
+                    if grant.admits(directory):
+                        return
+                    grant = None
                 operation = Operation(
-                    proc, Op.DIR_SEARCH, obj=step.inode, path=step.prefix, syscall=syscall, args=args,
+                    proc, Op.DIR_SEARCH, obj=directory, path=step.prefix, syscall=syscall, args=args,
                     extra={"component": step.name}, seq=seq,
                 )
                 # The component's own path only names an audit record.
                 mediate(operation, want="x", audit_path=step.prefix + "/" + step.name if audited else None)
             elif step.event is WalkEvent.SYMLINK_FOLLOW:
+                grant = None
                 extra = {}
-                parent = last_dir[0]
+                parent = last_dir
                 if parent is not None and parent.is_sticky:
                     extra["sticky_parent"] = parent
                 operation = Operation(
@@ -437,6 +464,11 @@ class SyscallAPI:
         """Fork; returns the child process object."""
         self.kernel.begin_syscall(proc, "fork")
         kernel = self.kernel
+        # Firewall state: the whole bundle — STATE dictionary (rule
+        # invariants set by the parent must keep protecting the forked
+        # worker), negative-decision cache (its entries are pure
+        # functions of rule base/label/program/entrypoint, all fork-
+        # preserved), and context cache — is copied to the child.
         child = Process(
             kernel._next_pid,
             proc.comm,
@@ -447,6 +479,7 @@ class SyscallAPI:
             env=dict(proc.env),
             argv=list(proc.argv),
             ppid=proc.pid,
+            pf=proc.pf.fork(),
         )
         kernel._next_pid += 1
         child.images = list(proc.images)
@@ -460,12 +493,6 @@ class SyscallAPI:
         child.umask = getattr(proc, "umask", DEFAULT_UMASK)
         child.signals.dispositions = dict(proc.signals.dispositions)
         child.signals.blocked = set(proc.signals.blocked)
-        # Firewall state: the whole bundle — STATE dictionary (rule
-        # invariants set by the parent must keep protecting the forked
-        # worker), negative-decision cache (its entries are pure
-        # functions of rule base/label/program/entrypoint, all fork-
-        # preserved), and context cache — is copied to the child.
-        child.pf = proc.pf.fork()
         kernel.processes[child.pid] = child
         return child
 

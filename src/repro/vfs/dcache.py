@@ -29,9 +29,13 @@ Two caches, one invariant:
   and deny points are byte-identical to a cold walk — per-component
   defenses (rule R8, ``safe_open_PF``) see every
   ``LOOKUP``/``SYMLINK_FOLLOW``, and a ``PFDenied`` raised mid-replay
-  aborts exactly where the cold walk would.  Verdicts are never
-  memoized: DAC, MAC, and firewall rules re-run live on every hit,
-  which is why a ``chmod`` needs no invalidation at all.
+  aborts exactly where the cold walk would.  This cache memoizes no
+  verdict: DAC and MAC re-run live on every replayed step, which is
+  why a ``chmod`` needs no invalidation at all.  The firewall's answer
+  for a walk's ``DIR_SEARCH`` steps may be given once per walk (a
+  walk grant, :meth:`repro.kernel.Kernel.authorize_walk`), but it
+  comes from the firewall's own rule-stamp-keyed decision cache, asked
+  afresh for every walk, never from this cache.
 
 What *does* invalidate (the full matrix lives in ``docs/DCACHE.md``):
 ``create``/``link``/``unlink``/``rmdir``/``rename``/``symlink`` drop

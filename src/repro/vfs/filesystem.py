@@ -234,7 +234,9 @@ class FileSystem:
         resolves *to*, but the walk-replay cache drops its memoized
         resolutions anyway — the conservative reading of "cache the
         walk, never the verdict" is that any security-metadata change
-        forces the next resolution cold.
+        forces the next resolution cold.  The MAC check of every walk
+        step reads the live label either way, a walk holding a walk
+        grant included (:meth:`repro.kernel.WalkGrant.admits`).
         """
         inode.label = label
         self.ns_gen += 1

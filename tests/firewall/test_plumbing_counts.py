@@ -8,7 +8,9 @@ the engine builds.  The two deterministic COMPILED workloads of
 those construction counts.
 
 A ``SYSCALL_BEGIN`` that no ``syscallbegin`` chain names builds no
-operation, and an entrypoint-keyed decision-cache hit builds no frame.
+operation, an entrypoint-keyed decision-cache hit builds no frame, and
+with the kernel audit trail off a walk the kernel grants
+(``Kernel.authorize_walk``) builds no ``DIR_SEARCH`` operation.
 The engine counters after the same workloads are pinned to the values
 they had before either short cut existed: the short cuts move no
 verdict and no counter.
@@ -65,15 +67,34 @@ def test_lmbench_round_builds_no_frame(constructions):
     assert counts == {"Operation": 9 * COUNTED, "ContextFrame": 0}
 
 
+def _audit_off(firewall):
+    firewall.kernel.audit_enabled = False
+
+
+def test_lmbench_round_audit_off_allocations(constructions):
+    """With the kernel audit trail off (repobench's ``static_lookup``
+    setting), the four ``DIR_SEARCH`` steps of a round (``stat`` and
+    ``open`` of ``/etc/passwd``) build no operation: each walk holds a
+    walk grant.  5 resource operations a round are left."""
+    counts, start = constructions
+    suite = run_lmbench(before_counted=start, setup=_audit_off)
+    assert counts == {"Operation": 5 * COUNTED, "ContextFrame": 0}
+    assert suite.firewall.stats.as_dict() == PINNED_LMBENCH_STATS
+
+
 def test_build_job_allocations(constructions):
-    """Per job: 63.5 resource operations and no ``SYSCALL_BEGIN`` one
-    (no ``syscallbegin`` rule names a syscall the job makes).  The 5.25
-    frames per job belong to the traversals that still walk: mostly the
-    first use of an op kind after ``execve``, which empties the decision
-    cache, and the trap open."""
+    """Per job: 19 resource operations and no ``SYSCALL_BEGIN`` one
+    (no ``syscallbegin`` rule names a syscall the job makes).  Of the
+    job's 46.5 ``DIR_SEARCH`` steps, 2 build an operation: the first of
+    the ``execve`` walk (the forked child's decision cache has no
+    ``DIR_SEARCH`` entry yet) and the first of the open after
+    ``execve``, which empties the decision cache; each records the
+    entry the rest of its walk is granted on.  The 5.25 frames per job
+    belong to the traversals that still walk: mostly the first use of
+    an op kind after ``execve``, and the trap open."""
     counts, start = constructions
     run_build(before_counted=start)
-    assert counts == {"Operation": 1016, "ContextFrame": 84}
+    assert counts == {"Operation": 304, "ContextFrame": 84}
 
 
 #: ``EngineStats.as_dict()`` after the workloads above, as produced

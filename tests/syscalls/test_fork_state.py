@@ -150,3 +150,28 @@ class TestExecvePendingSignals:
         # Pending survives, but the handler registration does not.
         assert any(signum == sig.SIGUSR1 for _, signum in root.signals.pending)
         assert not root.signals.disposition(sig.SIGUSR1).is_handled
+
+
+def test_fork_allocates_one_state_bundle(monkeypatch):
+    """A fork hands the child its copy of the parent's bundle through
+    ``Process(pf=...)``: over 100 fork+exit pairs on a root shell no
+    ``ProcState()`` is built and thrown away (before, each fork built
+    one that the copy then replaced), and each child holds a bundle
+    of its own."""
+    from repro.firewall.procstate import ProcState
+
+    kernel, _ = _state_world()
+    shell = spawn_root_shell(kernel)
+    built = []
+    original = ProcState.__init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ProcState, "__init__", counting)
+    for _ in range(100):
+        child = kernel.sys.fork(shell)
+        assert child.pf is not shell.pf
+        kernel.sys.exit(child, 0)
+    assert built == []

@@ -18,7 +18,7 @@ def work_ledger():
     return work_ledger
 
 
-@pytest.mark.parametrize("workload,ops", [("lmbench", 18), ("build", 36)])
+@pytest.mark.parametrize("workload,ops", [("lmbench", 18), ("lmbench_audit_off", 18), ("build", 36)])
 def test_layers_sum_to_the_total(work_ledger, workload, ops):
     counts, issued = work_ledger.measure(workload, sessions=2)
     assert issued == ops
@@ -31,12 +31,23 @@ def test_layers_sum_to_the_total(work_ledger, workload, ops):
     assert modules.get("enum.py", 0) == 0
 
 
+def test_audit_off_mix_has_no_audit_layer_records(work_ledger):
+    """With the kernel audit trail off, the ``audit`` layer only reads
+    the switch: no ``AuditRecord`` is built."""
+    counts, _ = work_ledger.measure("lmbench_audit_off", sessions=2)
+    assert not any(code.co_qualname.startswith("AuditRecord") for code in counts)
+    assert work_ledger.WORKLOADS == ("lmbench", "lmbench_audit_off", "build")
+
+
 def test_layer_table(work_ledger):
     layer_of = work_ledger.layer_of
     assert layer_of("repro/firewall/engine.py:ProcessFirewall.mediate") == "pf_eval"
     assert layer_of("repro/firewall/engine.py:ProcessFirewall.ensure") == "pf_context"
     assert layer_of("repro/kernel.py:Kernel.begin_syscall") == "syscall"
     assert layer_of("repro/kernel.py:Kernel.mediate") == "lsm"
+    assert layer_of("repro/kernel.py:Kernel.authorize_walk") == "lsm"
+    assert layer_of("repro/kernel.py:WalkGrant.admits") == "lsm"
+    assert layer_of("repro/firewall/engine.py:WalkAnswer.accept") == "pf_eval"
     assert layer_of("repro/kernel.py:Kernel._audit") == "audit"
     assert layer_of("repro/vfs/namei.py:PathWalker.resolve") == "namei"
     assert layer_of("repro/security/selinux.py:SELinuxModule.authorize") == "mac"
@@ -47,3 +58,25 @@ def test_counts_do_not_depend_on_the_run(work_ledger):
     first, _ = work_ledger.measure("lmbench", sessions=1)
     second, _ = work_ledger.measure("lmbench", sessions=1)
     assert work_ledger.ledger(first)[0] == work_ledger.ledger(second)[0]
+
+
+#: Upper bounds on total bytecodes per op over the ``COUNTED`` sessions,
+#: recorded on CPython 3.11 when one authorization per walk landed
+#: (audit-off lmbench mix 693.4, compile job 1,959.1) and rounded up to
+#: the next whole bytecode.  A change that adds work raises the bound it
+#: crosses and states the delta per layer in CHANGES.md.
+WORK_BUDGETS = {"lmbench_audit_off": 694.0, "build": 1960.0}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="bytecode budgets are recorded on CPython 3.11; other minor "
+    "versions compile the same source to different bytecode",
+)
+@pytest.mark.parametrize("workload", sorted(WORK_BUDGETS))
+def test_work_budget(work_ledger, workload):
+    from tests.plumbing_workloads import COUNTED
+
+    counts, ops = work_ledger.measure(workload, COUNTED)
+    per_op = sum(counts.values()) / ops
+    assert per_op <= WORK_BUDGETS[workload], "{}: {:.1f} bytecodes/op".format(workload, per_op)

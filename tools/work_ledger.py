@@ -14,9 +14,11 @@ Run from the repository root::
     PYTHONPATH=src python tools/work_ledger.py
 
 It prints bytecodes per op, by layer and for the :data:`TOP_MODULES`
-busiest modules, over the counted sessions (``COUNTED``) of the two
-deterministic COMPILED workloads of ``tests/plumbing_workloads.py``:
-the lmbench mix (9 syscalls a round) and the compile job.
+busiest modules, over the counted sessions (``COUNTED``) of the
+deterministic COMPILED workloads of ``tests/plumbing_workloads.py``
+(:data:`WORKLOADS`): the lmbench mix (9 syscalls a round), the same mix
+with the kernel audit trail off (repobench ``static_lookup``'s
+setting), and the compile job.
 
 Limits: a bytecode is not a unit of time.  A call into C (a
 ``dict.copy`` of 10,000 entries, a sort, ``str.split``) is one
@@ -52,6 +54,8 @@ LAYERS = {
     "repro/security/selinux.py": "mac",
     "repro/security/lsm.py": "lsm",
     "repro/kernel.py:Kernel.mediate": "lsm",
+    "repro/kernel.py:Kernel.authorize_walk": "lsm",
+    "repro/kernel.py:WalkGrant": "lsm",
     "repro/firewall/": "pf_eval",
     "repro/firewall/context.py": "pf_context",
     "repro/firewall/modules/": "pf_context",
@@ -73,6 +77,9 @@ LAYERS = {
 
 #: Modules listed after the layers, busiest first.
 TOP_MODULES = 8
+
+#: The measured workloads, in print order.
+WORKLOADS = ("lmbench", "lmbench_audit_off", "build")
 
 _SRC_MARK = os.sep + "src" + os.sep
 
@@ -151,14 +158,16 @@ def ledger(counts):
 
 
 def measure(workload, sessions):
-    """Bytecodes of ``sessions`` counted rounds (``"lmbench"``) or
-    compile jobs (``"build"``) of ``tests/plumbing_workloads.py``, run
-    after its untimed warm-up; returns ``(counts, syscalls issued)``."""
+    """Bytecodes of ``sessions`` counted rounds (``"lmbench"``, or
+    ``"lmbench_audit_off"`` with the kernel audit trail off) or compile
+    jobs (``"build"``) of ``tests/plumbing_workloads.py``, run after its
+    untimed warm-up; returns ``(counts, syscalls issued)``."""
     from tests import plumbing_workloads as pw
 
-    if workload == "lmbench":
+    if workload in ("lmbench", "lmbench_audit_off"):
         suite = pw.LmbenchSuite("COMPILED")
         kernel = suite.kernel
+        kernel.audit_enabled = workload == "lmbench"
 
         def session(index):
             pw.lmbench_round(suite)
@@ -183,7 +192,7 @@ def measure(workload, sessions):
 def main():
     from tests import plumbing_workloads as pw
 
-    for workload in ("lmbench", "build"):
+    for workload in WORKLOADS:
         counts, ops = measure(workload, pw.COUNTED)
         layers, modules = ledger(counts)
         total = sum(layers.values())
