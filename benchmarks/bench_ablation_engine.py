@@ -3,15 +3,16 @@
 1. **Entrypoint chains vs linear scan** (§4.3): rules-evaluated per
    operation as the rule base grows — the index keeps work flat while
    the linear scan grows linearly.
-2. **Per-process vs global traversal state** (§5.1): the iptables-style
-   global state forces one interrupt-disable per traversal (every
-   mediation the op and syscall indexes do not skip); the per-process
-   design needs none.
-3. **Lazy vs eager context retrieval** (§4.2): context-module
+2. **Lazy vs eager context retrieval** (§4.2): context-module
    collections per syscall.
-4. **Compiled dispatch + negative-decision cache** (beyond the paper's
+3. **Compiled dispatch + negative-decision cache** (beyond the paper's
    ladder): whole traversals short-circuited per process once a
    default-allow verdict is proven context-independent.
+
+Per-process vs global traversal state (§5.1) is no longer an ablation:
+the engine keeps a walk's state in the locals of one invocation, so
+there is no global state to emulate (EXPERIMENTS.md, "History: global
+traversal-state ablation").
 """
 
 import pytest
@@ -24,22 +25,16 @@ from repro.world import build_world, spawn_root_shell
 SIZES = [50, 200, 800]
 
 
-def _run_firewall(config, rule_count, metered=False):
+def _run_workload(config, rule_count):
     world = build_world()
     world.audit_enabled = False
     pf = ProcessFirewall(config)
     world.attach_firewall(pf)
     pf.install_all(generate_full_rulebase(size=rule_count))
-    if metered:
-        pf.metrics.enable()
     root = spawn_root_shell(world)
     for _ in range(50):
         world.sys.stat(root, "/etc/passwd")
-    return pf
-
-
-def _run_workload(config, rule_count):
-    return _run_firewall(config, rule_count).stats
+    return pf.stats
 
 
 def test_entrypoint_chain_scaling(run_once, emit):
@@ -62,33 +57,6 @@ def test_entrypoint_chain_scaling(run_once, emit):
     # Linear grows with the rule base; the index stays flat.
     assert rows[-1][1] > rows[0][1] * 2
     assert rows[-1][2] <= rows[0][2] * 1.5
-
-
-def test_traversal_state_ablation(run_once, emit):
-    def compare():
-        per_process = _run_workload(EngineConfig.optimized(), 100)
-        global_pf = _run_firewall(
-            EngineConfig.optimized().clone(global_traversal_state=True), 100, metered=True
-        )
-        return per_process, global_pf.stats, global_pf.metrics.value("pf_fast_path_total")
-
-    per_process, global_state, fast_paths = run_once(compare)
-    traversals = global_state.invocations - fast_paths
-    emit(
-        format_table(
-            ["design", "invocations", "traversals", "irq disables"],
-            [
-                ("per-process state (paper)", per_process.invocations, traversals,
-                 per_process.irq_disables),
-                ("global state (iptables)", global_state.invocations, traversals,
-                 global_state.irq_disables),
-            ],
-            title="Ablation: traversal-state placement",
-        )
-    )
-    assert per_process.irq_disables == 0
-    # A fast-path accept walks no chain, so it needs no disable.
-    assert global_state.irq_disables == traversals > 0
 
 
 def test_lazy_context_ablation(run_once, emit):

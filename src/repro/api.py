@@ -279,7 +279,6 @@ class Session:
         proc.alive = False
         self.kernel.reap(proc)
         proc.pf.release()
-        del proc.pf_traversal[:]
         return proc
 
     # ------------------------------------------------------------------

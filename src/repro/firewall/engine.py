@@ -34,6 +34,11 @@ being begun, and answer the ``DIR_SEARCH`` steps of a path walk once
 allowed from the fast path or the decision cache.  See
 ``docs/COMPILATION.md`` for the full ladder.
 
+:meth:`ProcessFirewall.mediate` is one staged path: each mediation
+ends at one exit (fast path, decision-cache hit, or walk verdict),
+and a walk's state is the locals of that one invocation, which keeps
+the engine reentrant (§5.1) with no global traversal state.
+
 The engine also hosts the :mod:`repro.obs` observability layer:
 decision traces (opt-in via :meth:`ProcessFirewall.enable_tracing`),
 the metrics registry (:attr:`ProcessFirewall.metrics`, disabled by
@@ -136,6 +141,16 @@ _ENTRYPOINT = ContextField.ENTRYPOINT
 _NO_HEAD = object()
 
 
+def _store_head(proc, seq, values, head):
+    """Cache ``head`` as syscall ``seq``'s ENTRYPOINT in ``proc``'s
+    per-seq context cache, beside the syscall's other cached
+    ``values``.  Replace-on-write: fork relatives may hold the old
+    tuple."""
+    values = dict(values)
+    values[_ENTRYPOINT] = head
+    proc.pf.context_cache = (seq, values)
+
+
 def syscall_begin_operation(proc, name, args, seq):
     """The ``SYSCALL_BEGIN`` operation of syscall ``seq``: ``name(*args)``
     issued by ``proc``, carrying ``(name, *args)``."""
@@ -160,7 +175,6 @@ class EngineConfig:
         "entrypoint_chains",
         "compiled_dispatch",
         "decision_cache",
-        "global_traversal_state",
     )
 
     def __init__(
@@ -171,7 +185,6 @@ class EngineConfig:
         entrypoint_chains=True,
         compiled_dispatch=False,
         decision_cache=False,
-        global_traversal_state=False,
     ):
         self.enabled = enabled
         self.context_cache = context_cache
@@ -183,11 +196,6 @@ class EngineConfig:
         #: Memoize default-allow verdicts per process for traversals
         #: that touched no resource- or call-dependent context.
         self.decision_cache = decision_cache
-        #: Ablation: emulate iptables' global traversal state, which
-        #: requires disabling preemption/interrupts per invocation
-        #: (counted in ``stats.irq_disables``) instead of the paper's
-        #: per-process state (§5.1).
-        self.global_traversal_state = global_traversal_state
 
     # ---- Table 6 column presets ----
 
@@ -276,7 +284,6 @@ class EngineStats:
         #: Whole traversals short-circuited by the negative-decision
         #: cache (COMPILED configurations only).
         self.decision_cache_hits = 0
-        self.irq_disables = 0
 
     #: Fixed at zero for ``repobench/common.py::kernel_counters``.
     rescache_hits = rescache_misses = 0
@@ -292,7 +299,6 @@ class EngineStats:
         "context_cost",
         "cache_hits",
         "decision_cache_hits",
-        "irq_disables",
     )
 
     def reset(self):
@@ -381,10 +387,7 @@ class WalkAnswer:
             elif kind == _WALK_HEAD_READ:
                 self.kind = _WALK_HEAD
                 count_collection(_ENTRYPOINT, stats)
-                values = dict(self.values)
-                values[_ENTRYPOINT] = self.head
-                # Replace-on-write: fork relatives may hold the old tuple.
-                self.proc.pf.context_cache = (self.seq, values)
+                _store_head(self.proc, self.seq, self.values, self.head)
 
 
 class ProcessFirewall:
@@ -415,9 +418,6 @@ class ProcessFirewall:
         self.metrics = MetricsRegistry()
         #: Decision tracer; ``None`` (the default) disables tracing.
         self.tracer = None
-        #: Shared traversal stack used only in the iptables-emulation
-        #: ablation (global_traversal_state).
-        self._shared_traversal = []
         #: Memo of relevant top-level chains per op (and per syscall
         #: name, for SYSCALL_BEGIN), keyed by rule-base stamp (hot-path
         #: optimization for the op- and syscall-index skips).  The
@@ -575,8 +575,8 @@ class ProcessFirewall:
 
         Served from the per-process context cache when it holds this
         syscall's head (one ``cache_hits``, as :meth:`ensure` counts
-        it); otherwise collected and stored back replace-on-write, as
-        :meth:`_writeback_context` would, so the rest of the syscall
+        it); otherwise collected and stored back (:func:`_store_head`),
+        as :meth:`_writeback_context` would, so the rest of the syscall
         reuses it.  A collection no tracer or metrics record reads the
         head off the stack directly, as a :class:`WalkAnswer` does.
         """
@@ -595,10 +595,7 @@ class ProcessFirewall:
         else:
             head = self._collect_checked(_ENTRYPOINT, operation, None, trace)
         if caching:
-            values = dict(values)
-            values[_ENTRYPOINT] = head
-            # Replace-on-write: fork relatives may hold the old tuple.
-            proc.pf.context_cache = (seq, values)
+            _store_head(proc, seq, values, head)
         return head
 
     # ------------------------------------------------------------------
@@ -639,8 +636,8 @@ class ProcessFirewall:
         record nothing and build no frame.  No mediation inside a walk
         segment changes the configuration or attaches an observer, so
         ``False`` stands for the segment unless the engine is enabled
-        with entrypoint chains, the global-traversal ablation is off,
-        no tracer or metrics watch, and either no chain can match
+        with entrypoint chains, no tracer or metrics watch, and either
+        no chain can match
         ``DIR_SEARCH`` or the decision and context caches are on.  A
         step mediated one by one may record a decision-cache entry, so
         ``None`` stands only until the next ``LOOKUP``: there is an
@@ -654,7 +651,6 @@ class ProcessFirewall:
         if (
             not config.enabled
             or not config.entrypoint_chains
-            or config.global_traversal_state
             or self.tracer is not None
             or self.metrics.enabled
         ):
@@ -685,16 +681,20 @@ class ProcessFirewall:
     def mediate(self, operation):
         """Evaluate the rule base; raise :class:`PFDenied` on DROP.
 
-        The pipeline stages (named as in ``docs/INTERNALS.md`` and in
-        trace records): *fast_path* (op- and syscall-index skip),
+        One staged path (named as in ``docs/INTERNALS.md`` and in trace
+        records): *fast_path* (op- and syscall-index skip),
         *decision_cache* (COMPILED's memoized default-allows),
         *context* (frame build + field collection), *chain_walk*
-        (mangle then filter), and *verdict*.
+        (mangle then filter), and *verdict*.  Each exit counts its
+        verdict inline; what a tracer or the metrics registry records
+        at an allow goes through :meth:`_observe_allow`, called only
+        when one of them is on.
         """
         config = self.config
         if not config.enabled:
             return
-        self.stats.invocations += 1
+        stats = self.stats
+        stats.invocations += 1
         metrics = self.metrics
         metered = metrics.enabled
         tracer = self.tracer
@@ -710,28 +710,155 @@ class ProcessFirewall:
             # Fast path: no installed chain can match this operation.
             # Safe because the base is deny-only with default allow —
             # skipping non-matching rules cannot change the verdict.
-            self.stats.accepts += 1
-            if trace is not None:
-                trace.enter_stage(STAGE_FAST_PATH)
-                trace.finish("ALLOW")
-            if metered:
-                metrics.inc("pf_fast_path_total")
-                metrics.inc("pf_verdicts_total", {"verdict": "allow"})
+            stats.accepts += 1
+            if trace is not None or metered:
+                self._observe_allow(trace, metered, STAGE_FAST_PATH)
             return
 
-        if config.global_traversal_state:
-            # iptables-style: traversal state is global, so the walk
-            # must run with "interrupts disabled" (counted, not real).
-            # The push/pop pair brackets the whole slow path in
-            # try/finally: a DROP (PFDenied) or a mid-walk error must
-            # not leak an entry in the shared stack.
-            self.stats.irq_disables += 1
-            self._shared_traversal.append(operation)
-            try:
-                return self._mediate_slow(operation, trace, metrics, metered, args0, pairs)
-            finally:
-                self._shared_traversal.pop()
-        return self._mediate_slow(operation, trace, metrics, metered, args0, pairs)
+        head = _NO_HEAD
+        proc = operation.proc
+        seq = operation.seq
+
+        # Negative-decision cache probe: a previous traversal of the
+        # same (op, subject label, syscall[, entrypoint head]) under
+        # this exact rule base proved the default-allow verdict depends
+        # on nothing else — skip the walk entirely.  The syscall is part
+        # of the key because the syscall index picks the chains walked:
+        # a getpid walk that skipped a chain naming getuid proves
+        # nothing about getuid.  No hit builds a context frame: an
+        # entrypoint-keyed one reads only the (per-syscall-cached) head.
+        dkey = stamp = None
+        if config.decision_cache and proc is not None:
+            probe_started = perf_counter() if metered else 0.0
+            if trace is not None:
+                trace.enter_stage(STAGE_DECISION_CACHE)
+            stamp = self.rules.stamp
+            dkey = (op, proc.label, args0)
+            # A stale or absent cache is not rebuilt here: allocation
+            # waits for the first recordable verdict, so uncacheable
+            # workloads (and short-lived forks) pay only this probe.
+            dentries = proc.pf.decision_probe(stamp)
+            known = dentries.get(dkey) if dentries is not None else None
+            # A hit is a subject-keyed ``True`` entry, or a head set
+            # holding this syscall's entrypoint head.
+            if known is not None and (
+                known is True
+                or (head := self._entrypoint_head(operation, proc, seq, trace)) in known
+            ):
+                stats.decision_cache_hits += 1
+                stats.accepts += 1
+                if trace is not None or metered:
+                    self._observe_allow(
+                        trace, metered,
+                        "hit" if known is True else "hit-entrypoint", probe_started,
+                    )
+                return
+            if trace is not None:
+                trace.decision_cache = "miss"
+            if metered:
+                metrics.observe_phase(PHASE_CACHE_PROBE, perf_counter() - probe_started)
+                metrics.inc("pf_decision_cache_total", {"result": "miss"})
+
+        frame = self._new_frame(proc, seq, trace)
+        if head is not _NO_HEAD:
+            # The probe already read (and counted) the head.
+            frame.seed_used(_ENTRYPOINT, head)
+            frame.used_entrypoint = True
+
+        if not config.lazy_context:
+            # Eager collection of every field any installed rule uses,
+            # walked as plain-int bits in ContextField order.
+            needed = int(self.rules.required_fields)
+            for field, bits in FIELD_BITS.items():
+                if needed & bits:
+                    if frame.mask & bits:
+                        if frame.cached_mask & bits:
+                            # The cache saved this eager collection.
+                            frame.cached_mask &= ~bits
+                            stats.cache_hits += 1
+                            if trace is not None:
+                                trace.note_field(FIELD_NAMES[field], FIELD_CACHED)
+                        continue
+                    self._collect_checked(field, operation, frame, trace)
+
+        walk_started = perf_counter() if metered else 0.0
+        try:
+            verdict, rule = self._traverse(operation, frame, pairs)
+        finally:
+            if metered:
+                metrics.observe_phase(PHASE_CHAIN_WALK, perf_counter() - walk_started)
+            self._writeback_context(proc, seq, frame)
+
+        if verdict == tg.DROP:
+            stats.drops += 1
+            if trace is not None:
+                trace.finish("DROP", rule)
+            if metered:
+                metrics.inc("pf_verdicts_total", {"verdict": "drop"})
+            self.audit.emit(
+                {
+                    "time": self.kernel.clock.now() if self.kernel else 0,
+                    "pid": proc.pid if proc is not None else None,
+                    "comm": proc.comm if proc is not None else None,
+                    "op": OP_NAMES[op],
+                    "syscall": operation.syscall,
+                    "path": operation.path,
+                    "rule": rule.text,
+                },
+                severity=WARNING,
+                kind="drop",
+            )
+            raise errors.PFDenied("rule matched: {}".format(rule.text), rule=rule)
+        stats.accepts += 1
+        if trace is not None or metered:
+            self._observe_allow(trace, metered)
+
+        if (
+            dkey is not None
+            and verdict == tg.CONTINUE
+            and not frame.rule_matched
+            and not frame.decision_unsafe
+        ):
+            # Clean default allow: no rule matched, nothing resource-
+            # or call-dependent was consulted.  Memoize, keyed on the
+            # entrypoint head only when the traversal looked at it.
+            wentries = proc.pf.decision_writable(stamp)
+            if frame.used_entrypoint:
+                head = frame.values[_ENTRYPOINT]
+                known = wentries.get(dkey)
+                if known is None:
+                    wentries[dkey] = {head}
+                elif known is not True and len(known) < 1024:
+                    known.add(head)
+            else:
+                wentries[dkey] = True
+
+    def _observe_allow(self, trace, metered, how=None, probe_started=0.0):
+        """Record an allow verdict with the observers that are on.
+
+        Every allow books the trace's verdict and
+        ``pf_verdicts_total{verdict="allow"}``.  ``how`` names how the
+        allow was reached: ``None`` by a chain walk; ``"fast_path"`` by
+        the fast path (its stage and ``pf_fast_path_total``);
+        ``"hit"`` or ``"hit-entrypoint"`` by a decision-cache hit whose
+        probe started at ``probe_started`` (the trace's
+        ``decision_cache`` outcome, the probe's phase time and
+        ``pf_decision_cache_total``).
+        """
+        if trace is not None:
+            if how == STAGE_FAST_PATH:
+                trace.enter_stage(STAGE_FAST_PATH)
+            elif how is not None:
+                trace.decision_cache = how
+            trace.finish("ALLOW")
+        if metered:
+            metrics = self.metrics
+            if how == STAGE_FAST_PATH:
+                metrics.inc("pf_fast_path_total")
+            elif how is not None:
+                metrics.observe_phase(PHASE_CACHE_PROBE, perf_counter() - probe_started)
+                metrics.inc("pf_decision_cache_total", {"result": "hit"})
+            metrics.inc("pf_verdicts_total", {"verdict": "allow"})
 
     def mediate_batch(self, operations):
         """Mediate a sequence of operations; returns per-record verdicts.
@@ -769,8 +896,8 @@ class ProcessFirewall:
         per-seq context-cache frame), so their counters are applied
         without re-running the prologue
         (:meth:`_mediate_run_cached`).  Everything else — traced or
-        metered mediations, the global-traversal ablation,
-        configurations without entrypoint chains or the context cache,
+        metered mediations, configurations without entrypoint chains
+        or the context cache,
         and every mutating record — falls back to ``mediate()`` record
         by record (see ``docs/INTERNALS.md`` "Batched mediation" for
         the invalidation rules).
@@ -783,7 +910,6 @@ class ProcessFirewall:
         batchable = (
             self.tracer is None
             and not self.metrics.enabled
-            and not config.global_traversal_state
             and config.entrypoint_chains
         )
         stats = self.stats
@@ -904,150 +1030,6 @@ class ProcessFirewall:
                 verdicts.extend(["allow"] * rest)
                 idx = group_end
 
-    def _mediate_slow(self, operation, trace, metrics, metered, args0, pairs):
-        """Post-fast-path mediation: cache probe, context, walk, verdict.
-
-        Factored out of :meth:`mediate` so the shared-traversal push of
-        the ``global_traversal_state`` ablation brackets every exit —
-        including the ``PFDenied`` raise — with its balancing pop.
-        ``args0`` is :func:`syscall_arg0` of the operation and ``pairs``
-        the chains to walk (``None``: every routed chain).
-        """
-        head = _NO_HEAD
-        proc = operation.proc
-        seq = operation.seq
-
-        # Negative-decision cache probe: a previous traversal of the
-        # same (op, subject label, syscall[, entrypoint head]) under
-        # this exact rule base proved the default-allow verdict depends
-        # on nothing else — skip the walk entirely.  The syscall is part
-        # of the key because the syscall index picks the chains walked:
-        # a getpid walk that skipped a chain naming getuid proves
-        # nothing about getuid.  No hit builds a context frame: an
-        # entrypoint-keyed one reads only the (per-syscall-cached) head.
-        dkey = stamp = None
-        if self.config.decision_cache and proc is not None:
-            probe_started = perf_counter() if metered else 0.0
-            if trace is not None:
-                trace.enter_stage(STAGE_DECISION_CACHE)
-            stamp = self.rules.stamp
-            dkey = (operation.op, proc.label, args0)
-            # A stale or absent cache is not rebuilt here: allocation
-            # waits for the first recordable verdict, so uncacheable
-            # workloads (and short-lived forks) pay only this probe.
-            dentries = proc.pf.decision_probe(stamp)
-            if dentries is not None:
-                known = dentries.get(dkey)
-                if known is not None:
-                    if known is True:
-                        self.stats.decision_cache_hits += 1
-                        self.stats.accepts += 1
-                        if trace is not None:
-                            trace.decision_cache = "hit"
-                            trace.finish("ALLOW")
-                        if metered:
-                            metrics.observe_phase(
-                                PHASE_CACHE_PROBE, perf_counter() - probe_started
-                            )
-                            metrics.inc("pf_decision_cache_total", {"result": "hit"})
-                            metrics.inc("pf_verdicts_total", {"verdict": "allow"})
-                        return
-                    head = self._entrypoint_head(operation, proc, seq, trace)
-                    if head in known:
-                        self.stats.decision_cache_hits += 1
-                        self.stats.accepts += 1
-                        if trace is not None:
-                            trace.decision_cache = "hit-entrypoint"
-                            trace.finish("ALLOW")
-                        if metered:
-                            metrics.observe_phase(
-                                PHASE_CACHE_PROBE, perf_counter() - probe_started
-                            )
-                            metrics.inc("pf_decision_cache_total", {"result": "hit"})
-                            metrics.inc("pf_verdicts_total", {"verdict": "allow"})
-                        return
-            if trace is not None:
-                trace.decision_cache = "miss"
-            if metered:
-                metrics.observe_phase(PHASE_CACHE_PROBE, perf_counter() - probe_started)
-                metrics.inc("pf_decision_cache_total", {"result": "miss"})
-
-        frame = self._new_frame(proc, seq, trace)
-        if head is not _NO_HEAD:
-            # The probe already read (and counted) the head.
-            frame.seed_used(_ENTRYPOINT, head)
-            frame.used_entrypoint = True
-
-        if not self.config.lazy_context:
-            # Eager collection of every field any installed rule uses.
-            needed = self.rules.required_fields
-            for field in ContextField:
-                if needed & field:
-                    if frame.has(field):
-                        bits = FIELD_BITS[field]
-                        if frame.cached_mask & bits:
-                            # The cache saved this eager collection.
-                            frame.cached_mask &= ~bits
-                            self.stats.cache_hits += 1
-                            if trace is not None:
-                                trace.note_field(FIELD_NAMES[field], FIELD_CACHED)
-                        continue
-                    self._collect_checked(field, operation, frame, trace)
-
-        walk_started = perf_counter() if metered else 0.0
-        try:
-            verdict, rule = self._traverse(operation, frame, pairs)
-        finally:
-            if metered:
-                metrics.observe_phase(PHASE_CHAIN_WALK, perf_counter() - walk_started)
-            self._writeback_context(proc, seq, frame)
-
-        if verdict == tg.DROP:
-            self.stats.drops += 1
-            if trace is not None:
-                trace.finish("DROP", rule)
-            if metered:
-                metrics.inc("pf_verdicts_total", {"verdict": "drop"})
-            self.audit.emit(
-                {
-                    "time": self.kernel.clock.now() if self.kernel else 0,
-                    "pid": proc.pid if proc is not None else None,
-                    "comm": proc.comm if proc is not None else None,
-                    "op": OP_NAMES[operation.op],
-                    "syscall": operation.syscall,
-                    "path": operation.path,
-                    "rule": rule.text,
-                },
-                severity=WARNING,
-                kind="drop",
-            )
-            raise errors.PFDenied("rule matched: {}".format(rule.text), rule=rule)
-        self.stats.accepts += 1
-        if trace is not None:
-            trace.finish("ALLOW")
-        if metered:
-            metrics.inc("pf_verdicts_total", {"verdict": "allow"})
-
-        if (
-            dkey is not None
-            and verdict == tg.CONTINUE
-            and not frame.rule_matched
-            and not frame.decision_unsafe
-        ):
-            # Clean default allow: no rule matched, nothing resource-
-            # or call-dependent was consulted.  Memoize, keyed on the
-            # entrypoint head only when the traversal looked at it.
-            wentries = proc.pf.decision_writable(stamp)
-            if frame.used_entrypoint:
-                head = frame.values[_ENTRYPOINT]
-                known = wentries.get(dkey)
-                if known is None:
-                    wentries[dkey] = {head}
-                elif known is not True and len(known) < 1024:
-                    known.add(head)
-            else:
-                wentries[dkey] = True
-
     def _new_frame(self, proc, seq, trace=None):
         """Fresh context frame, pre-seeded from the per-process cache."""
         frame = ContextFrame()
@@ -1135,7 +1117,6 @@ class ProcessFirewall:
         chains on, ``pairs`` holds the :meth:`_relevant_chains`, the
         only ones walked; ``None`` walks every routed chain.
         """
-        proc = operation.proc
         metered = self.metrics.enabled
         if pairs is None:
             pairs = self._routed_chains(operation.op)
@@ -1148,13 +1129,7 @@ class ProcessFirewall:
                     "pf_chain_traversals_total",
                     {"table": table.name, "chain": chain.name},
                 )
-            if proc is not None:
-                proc.pf_traversal.append(chain.name)
-            try:
-                verdict, rule = self._walk_chain(table, chain, operation, frame, depth=0)
-            finally:
-                if proc is not None:
-                    proc.pf_traversal.pop()
+            verdict, rule = self._walk_chain(table, chain, operation, frame, depth=0)
             if verdict == tg.DROP:
                 return verdict, rule
             if verdict == tg.ACCEPT:
@@ -1171,47 +1146,35 @@ class ProcessFirewall:
         op = operation.op
         prefiltered = False
         if self.config.entrypoint_chains:
+            # The entrypoint is only resolved (a stack unwind) when some
+            # bucket rule could handle this op, and only a head that
+            # keys an installed bucket is used.
+            ept_key = None
+            buckets = chain.by_entrypoint
+            if buckets:
+                ept_ops = chain.ept_ops
+                if (
+                    ept_ops is None
+                    or op in ept_ops
+                    or (op is Op.LINK_READ and Op.LNK_FILE_READ in ept_ops)
+                ):
+                    head = self.ensure(_ENTRYPOINT, operation, frame)
+                    if head in buckets:
+                        ept_key = head
             if self.config.compiled_dispatch:
                 # COMPILED: one flat, already op-filtered tuple per
                 # (op, entrypoint) shape — no merging, no per-rule op
-                # compare.  The entrypoint is only resolved (a stack
-                # unwind) when some bucket rule could handle this op,
-                # and only keys actually installed reach dispatch(), so
-                # the memo stays bounded.
-                ept_key = None
-                if chain.by_entrypoint:
-                    ept_ops = chain.ept_ops
-                    wanted = (
-                        ept_ops is None
-                        or op in ept_ops
-                        or (op is Op.LINK_READ and Op.LNK_FILE_READ in ept_ops)
-                    )
-                    if wanted:
-                        head = self.ensure(_ENTRYPOINT, operation, frame)
-                        if head in chain.by_entrypoint:
-                            ept_key = head
+                # compare; only installed keys reach dispatch(), so its
+                # memo stays bounded.
                 sequences = (chain.dispatch(op, ept_key),)
                 prefiltered = True
             else:
                 # §4.3: non-entrypoint rules first (narrowed to those
                 # whose -o could match), then only the bucket for the
-                # current entrypoint — and only when some bucket rule
-                # handles this operation at all (otherwise the stack
-                # unwind is skipped).
+                # current entrypoint.
                 sequences = [chain.preamble_for(op)]
-                if chain.by_entrypoint:
-                    ept_ops = chain.ept_ops
-                    wanted = (
-                        ept_ops is None
-                        or op in ept_ops
-                        or (op is Op.LINK_READ and Op.LNK_FILE_READ in ept_ops)
-                    )
-                    if wanted:
-                        bucket = chain.by_entrypoint.get(
-                            self.ensure(_ENTRYPOINT, operation, frame)
-                        )
-                        if bucket:
-                            sequences.append(bucket)
+                if ept_key is not None:
+                    sequences.append(buckets[ept_key])
         else:
             sequences = [chain.rules]
 
@@ -1242,16 +1205,13 @@ class ProcessFirewall:
                                     failed_match="-o {}".format(rule_op.value),
                                 ))
                             continue
-                if visit is None:
-                    if not self._rule_matches(rule, operation, frame):
-                        continue
-                else:
-                    failed = self._first_failing_match(rule, operation, frame)
-                    if failed is not None:
+                failed = self._first_failing_match(rule, operation, frame)
+                if failed is not None:
+                    if visit is not None:
                         visit.rules.append(RuleEval(
                             rule.text, "miss", failed_match=failed.render()
                         ))
-                        continue
+                    continue
                 rule.hits += 1
                 frame.rule_matched = True
                 if metered:
@@ -1282,21 +1242,10 @@ class ProcessFirewall:
                 # CONTINUE: fall through to the next rule.
         return (tg.CONTINUE, None)
 
-    def _rule_matches(self, rule, operation, frame):
-        """Whether every match module of ``rule`` accepts the operation."""
-        for match in rule.matches:
-            if not match.matches(self, operation, frame):
-                return False
-        return True
-
     def _first_failing_match(self, rule, operation, frame):
-        """Traced twin of :meth:`_rule_matches`.
-
-        Evaluates the same predicates in the same order with the same
-        early exit, but returns the first *failing* match module (or
-        ``None`` on a full match) so traces can name the predicate
-        that killed each miss.
-        """
+        """The first match module of ``rule`` that rejects the
+        operation, or ``None`` when every one accepts it; traces name
+        it as the predicate that killed each miss."""
         for match in rule.matches:
             if not match.matches(self, operation, frame):
                 return match

@@ -117,7 +117,6 @@ class KernelStats:
     def __init__(self):
         self.syscalls = {}  # type: Dict[str, int]
         self.mediations = 0
-        self.pf_invocations = 0
         self.pf_drops = 0
 
     def count_syscall(self, name):

@@ -88,10 +88,6 @@ class Process:
         #: (:class:`repro.firewall.procstate.ProcState`).  ``fork``
         #: passes the child its copy; ``execve`` resets it.
         self.pf = ProcState() if pf is None else pf
-        #: Per-process rule-traversal state (chain-jump stack), so the
-        #: engine is reentrant and the task can be scheduled out mid-walk.
-        #: Always empty at syscall boundaries, hence not fork-inherited.
-        self.pf_traversal = []
 
     # ------------------------------------------------------------------
     # descriptor table

@@ -397,34 +397,11 @@ class TestReentrancy:
         a = spawn_root_shell(world)
         b = spawn_root_shell(world)
         # Interleave two processes' syscalls; both must be judged
-        # correctly and no irq-disable emulation should trigger.
+        # correctly.
         world.sys.open(a, "/etc/passwd")
         with pytest.raises(errors.PFDenied):
             world.sys.open(b, "/etc/shadow")
         world.sys.open(a, "/etc/passwd")
-        assert pf.stats.irq_disables == 0
-
-    def test_global_state_ablation_counts_irq_disables(self):
-        config = EngineConfig.optimized().clone(global_traversal_state=True)
-        world, pf = make_world(config=config, rules=["pftables -A input -o FILE_OPEN -d shadow_t -j DROP"])
-        root = spawn_root_shell(world)
-        world.sys.open(root, "/etc/passwd")
-        assert pf.stats.irq_disables > 0
-
-    def test_denied_mediation_unwinds_shared_traversal_state(self):
-        """Regression: a DROP must pop the iptables-style shared
-        traversal entry on the way out — PFDenied used to propagate
-        past the pop, leaving a phantom in-flight walk behind."""
-        config = EngineConfig.optimized().clone(global_traversal_state=True)
-        world, pf = make_world(config=config, rules=["pftables -A input -o FILE_OPEN -d shadow_t -j DROP"])
-        root = spawn_root_shell(world)
-        with pytest.raises(errors.PFDenied):
-            world.sys.open(root, "/etc/shadow")
-        assert pf._shared_traversal == []
-        # The state machine still works after the denial: allowed
-        # accesses go through and also leave the shared list empty.
-        world.sys.open(root, "/etc/passwd")
-        assert pf._shared_traversal == []
 
 
 class TestMaliciousProcesses:

@@ -108,7 +108,7 @@ def observables(kernel, firewall, verdicts):
     return {
         "verdicts": list(verdicts),
         "engine": firewall.stats.as_dict() if firewall is not None else None,
-        "kernel": (dict(stats.syscalls), stats.mediations, stats.pf_invocations, stats.pf_drops),
+        "kernel": (dict(stats.syscalls), stats.mediations, stats.pf_drops),
         "lsm": kernel.lsm.invocations,
         "selinux": list(kernel.selinux.denials),
         "audit": firewall.audit.records() if firewall is not None else None,

@@ -124,6 +124,57 @@ class TestEngineIntegration:
         assert phases[PHASE_CHAIN_WALK]["entries"] >= 1
         assert phases[PHASE_CONTEXT]["entries"] >= 1
 
+    @pytest.mark.parametrize("preset", ["FULL", "CONCACHE", "LAZYCON", "EPTSPC", "COMPILED"])
+    def test_every_exit_books_its_verdict(self, preset):
+        """Every exit of ``mediate`` (fast path, subject- and
+        entrypoint-keyed decision-cache hits, walk allow, walk drop)
+        books its verdict with both observers on, with the stages
+        docs/INTERNALS.md lists for it."""
+        world = build_world()
+        firewall = ProcessFirewall(EngineConfig.preset(preset))
+        world.attach_firewall(firewall)
+        firewall.install_all([
+            "pftables -A input -o FILE_OPEN -d shadow_t -j DROP",
+            "pftables -A input -o FILE_GETATTR -s sshd_t -j DROP",
+            "pftables -A input -p /bin/nowhere -i 0x10 -o DIR_SEARCH -j DROP",
+        ])
+        firewall.metrics.enable()
+        tracer = firewall.enable_tracing(capacity=100000)
+        shell = spawn_root_shell(world)
+        for _ in range(3):
+            world.sys.stat(shell, "/etc/passwd")
+            world.sys.close(shell, world.sys.open(shell, "/etc/passwd"))
+            with pytest.raises(errors.PFDenied):
+                world.sys.open(shell, "/etc/shadow")
+        m, stats = firewall.metrics, firewall.stats
+        mediations = sum(v for name, _k, v in m.counters() if name == "pf_mediations_total")
+        assert mediations == stats.invocations == stats.accepts + stats.drops
+        assert m.value("pf_verdicts_total", {"verdict": "allow"}) == stats.accepts
+        assert m.value("pf_verdicts_total", {"verdict": "drop"}) == stats.drops == 3
+        assert tracer._next_seq == stats.invocations == len(tracer)
+        exits = set()
+        for trace in tracer:
+            if trace.stages[0] == "fast_path":
+                assert trace.stages == ["fast_path", "verdict"]
+                exits.add("fast_path")
+            elif trace.decision_cache.startswith("hit"):
+                assert trace.stages in (["decision_cache", "verdict"],
+                                        ["decision_cache", "context", "verdict"])
+                exits.add(trace.decision_cache)
+            else:
+                assert trace.stages[-1] == "verdict" and "fast_path" not in trace.stages
+                exits.add(trace.verdict)
+            assert trace.verdict in ("ALLOW", "DROP")
+        expected = {"ALLOW", "DROP"}
+        if preset in ("EPTSPC", "COMPILED"):
+            expected.add("fast_path")
+        if preset == "COMPILED":
+            expected |= {"hit", "hit-entrypoint"}
+            assert m.value("pf_decision_cache_total", {"result": "hit"}) == stats.decision_cache_hits
+        assert exits == expected
+        assert m.value("pf_fast_path_total") == sum(
+            1 for t in tracer if t.stages[0] == "fast_path")
+
     def test_compiled_config_reports_cache_probe_phase(self):
         world = build_world()
         firewall = ProcessFirewall(EngineConfig.compiled())

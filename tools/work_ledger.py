@@ -64,6 +64,7 @@ LAYERS = {
     "repro/firewall/engine.py:ProcessFirewall._note_cache_hit": "pf_context",
     "repro/firewall/engine.py:ProcessFirewall._collect_checked": "pf_context",
     "repro/firewall/engine.py:ProcessFirewall._entrypoint_head": "pf_context",
+    "repro/firewall/engine.py:_store_head": "pf_context",
     "repro/firewall/engine.py:ProcessFirewall._new_frame": "pf_context",
     "repro/firewall/engine.py:ProcessFirewall._writeback_context": "pf_context",
     "repro/proc/stack.py": "pf_context",
