@@ -84,11 +84,6 @@ class ServiceCounters:
         """Fold a completed session's mediation-latency samples in."""
         self._latencies.extend(samples)
 
-    @property
-    def latency_samples(self):
-        """The retained (windowed) latency samples, oldest first."""
-        return list(self._latencies)
-
     def latency_percentiles(self, points=(50, 99)):
         """``{"p50": ..., "p99": ...}`` over the retained window."""
         samples = sorted(self._latencies)

@@ -1,7 +1,7 @@
 """Unit coverage for ``engine.mediate_batch`` and its helpers.
 
-The byte-identity contract itself is hammered by the randomized
-differential suite (``tests/integration/test_differential_batch.py``);
+The byte-identity contract itself is hammered by the ``batch`` row of
+the differential matrix (``tests/differential.py``);
 these tests pin the mechanics: which records bulk, which fall back,
 and the stats/preset/serialization helpers around the engine.
 """

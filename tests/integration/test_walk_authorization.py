@@ -1,119 +1,36 @@
-"""Differential: one walk authorization changes nothing observable.
+"""One walk authorization changes nothing observable.
 
-A walk's ``LOOKUP`` steps may be authorized through a walk grant
+A walk's ``LOOKUP`` steps may be authorized through one walk grant
 (:meth:`repro.kernel.Kernel.authorize_walk`) instead of one
-``DIR_SEARCH`` :class:`~repro.security.lsm.Operation` per step through
-:meth:`~repro.kernel.Kernel.mediate`.  DAC and MAC still run per step;
-only the firewall's answer is shared, and only when its decision cache
-(or fast path) would allow every step.  Each workload here runs twice:
-with grants, and with
-:meth:`~repro.firewall.engine.ProcessFirewall.answer_walk` patched to
-refuse, which forces every step through the per-component path.  The
-two runs must agree on verdicts and errno messages,
-``EngineStats.as_dict()``, ``kernel.stats``, ``lsm.invocations``,
-``selinux.denials`` and the firewall audit records.
-
-The workloads: the compile jobs and the lmbench mix of
-:mod:`tests.plumbing_workloads` (kernel audit off), E1–E9 attack and
-benign runs on COMPILED, EPTSPC and LAZYCON, a RaceGuard kernel, and
-adversarial cases where a grant must hand a step back: a ``chmod`` and
+``DIR_SEARCH`` operation per step; DAC and MAC still run per step.
+The ``grant-refused`` rows of the differential matrix
+(``tests/differential.py``) pin the corpus run with every grant
+refused to the same run with grants.  The cases here go through the
+matrix's :func:`~tests.differential.grant_differential`: a RaceGuard
+kernel, and cases where a grant must hand a step back (a ``chmod`` or
 a relabel under a cached walk, a ``DIR_SEARCH`` DROP rule installed
-mid-run, a corrupted stack, a symlink mid-path whose follow drops the
-decision cache, and tracing or metrics switched on mid-run.  Each run
-with grants also counts how many steps a grant allowed, so no case
-passes by never taking the grant.
+mid-run, a corrupted stack, a symlink whose follow drops the decision
+cache, tracing or metrics switched on mid-run).  Each counts the steps
+a grant allowed, so no case passes by never taking the grant.
 """
 
 import pytest
 
 from repro import errors
-from repro.attacks.exploits import EXPLOITS
 from repro.baselines.compare import (
     benign_rotation_works,
     benign_sharing_works,
     build_defended_world,
     symlink_attack_succeeds,
 )
-from repro.firewall.engine import EngineConfig, ProcessFirewall, WalkAnswer
+from repro.firewall.engine import EngineConfig, ProcessFirewall
 from repro.rulesets.default import safe_open_pf_rules
-from tests.plumbing_workloads import (
-    COUNTED,
-    INCLUDE_DIR,
-    WARMUP,
-    BuildTree,
-    lmbench_round,
-    run_lmbench,
-)
+from tests.differential import (EIDS, REFERENCE, check, grant_differential, observe,
+                                pinned_observables, record_verdicts, tally, walk_grants)
+from tests.plumbing_workloads import (COUNTED, INCLUDE_DIR, WARMUP, BuildTree, lmbench_round,
+                                      run_lmbench)
 
-
-def _refuse(self, proc, seq):
-    return None
-
-
-def _run(workload, grants):
-    """``workload()``'s observables, with walk grants or without, and
-    the number of ``DIR_SEARCH`` steps a grant allowed."""
-    allowed = []
-    with pytest.MonkeyPatch.context() as patch:
-        if grants:
-            accept = WalkAnswer.accept
-
-            def counting(self):
-                allowed.append(None)
-                accept(self)
-
-            patch.setattr(WalkAnswer, "accept", counting)
-        else:
-            patch.setattr(ProcessFirewall, "answer_walk", _refuse)
-        observed = workload()
-    return observed, len(allowed)
-
-
-def _differential(workload):
-    """Run ``workload`` both ways; assert equal observables and return
-    the number of granted steps."""
-    granted, allowed = _run(workload, grants=True)
-    refused, none = _run(workload, grants=False)
-    assert none == 0
-    assert granted == refused
-    return allowed
-
-
-def record_verdicts(kernel):
-    """Record every syscall's outcome: ``(name, "ok")`` or ``(name,
-    error class, message)``.  Wraps the public methods of
-    ``kernel.sys``; nested calls record too, in call order."""
-    verdicts = []
-    sys_ = kernel.sys
-    for name in dir(type(sys_)):
-        method = getattr(sys_, name)
-        if name.startswith("_") or not callable(method):
-            continue
-
-        def wrapped(*args, _method=method, _name=name, **kwargs):
-            try:
-                result = _method(*args, **kwargs)
-            except errors.KernelError as exc:
-                verdicts.append((_name, type(exc).__name__, exc.message))
-                raise
-            verdicts.append((_name, "ok"))
-            return result
-
-        setattr(sys_, name, wrapped)
-    return verdicts
-
-
-def observables(kernel, firewall, verdicts):
-    stats = kernel.stats
-    return {
-        "verdicts": list(verdicts),
-        "engine": firewall.stats.as_dict() if firewall is not None else None,
-        "kernel": (dict(stats.syscalls), stats.mediations, stats.pf_drops),
-        "lsm": kernel.lsm.invocations,
-        "selinux": list(kernel.selinux.denials),
-        "audit": firewall.audit.records() if firewall is not None else None,
-        "kernel_audit": [(r.time, r.pid, r.op, r.path, r.decision, r.detail) for r in kernel.audit],
-    }
+EXPLOIT_COLUMNS = [eid + arm for eid in EIDS for arm in ("/attack", "/benign")]
 
 
 def audit_off(kernel):
@@ -121,70 +38,47 @@ def audit_off(kernel):
     return record_verdicts(kernel)
 
 
-# ---------------------------------------------------------------------------
-# workloads
-# ---------------------------------------------------------------------------
-
-
-def compile_jobs():
-    tree = BuildTree()
-    verdicts = record_verdicts(tree.kernel)
-    for index in range(WARMUP + COUNTED):
-        tree.job(index)
-    assert tree.drops == (WARMUP + COUNTED) // 4
-    return observables(tree.kernel, tree.firewall, verdicts)
+def _grants(column, columns):
+    """The grant rows' cells on ``columns``; returns the granted steps
+    (LAZYCON has no row: it never grants, so it is held to the
+    reference and to zero grants)."""
+    if column == "LAZYCON":
+        reference = [observe(c, REFERENCE[0], **REFERENCE[1])["loose"] for c in columns]
+        assert [observe(c, "LAZYCON", audit=False)["loose"] for c in columns] == reference
+        return sum(observe(c, "LAZYCON", audit=False)["tally"]["granted"] for c in columns)
+    row = "grant-refused" if column == "COMPILED" else "EPTSPC-grant-refused"
+    check(row, *columns)
+    return tally(row, "granted", columns, side=1)
 
 
 def test_compile_jobs():
-    """Of the 24 jobs' 1,116 ``DIR_SEARCH`` steps, 1,067 are granted
-    (the 16 counted jobs: 712 of 744)."""
-    assert _differential(compile_jobs) == 1067
+    """Of the 24 jobs' 1,116 ``DIR_SEARCH`` steps, 1,067 are granted;
+    of the matrix's 16-job build item's 744, 711."""
+
+    def workload():
+        tree = BuildTree()
+        verdicts = record_verdicts(tree.kernel)
+        for index in range(WARMUP + COUNTED):
+            tree.job(index)
+        assert tree.drops == (WARMUP + COUNTED) // 4
+        return pinned_observables(tree.kernel, tree.firewall, verdicts)
+
+    assert grant_differential(workload) == 1067
+    assert _grants("COMPILED", ["build"]) == 711
 
 
 @pytest.mark.parametrize("column", ["COMPILED", "EPTSPC", "LAZYCON"])
 def test_lmbench_mix_audit_off(column):
-    def workload():
-        box = {}
-
-        def setup(firewall):
-            box["verdicts"] = audit_off(firewall.kernel)
-
-        suite = run_lmbench(column, setup=setup)
-        return observables(suite.kernel, suite.firewall, box["verdicts"])
-
-    allowed = _differential(workload)
     # Only COMPILED's decision cache answers the full base's
     # entrypoint-keyed DIR_SEARCH chains; LAZYCON has no entrypoint
     # chains, so its firewall never answers.
+    allowed = _grants(column, ["lmbench/intact", "lmbench/corrupt"])
     assert (allowed > 0) == (column == "COMPILED")
-
-
-def _exploit_observables(scenario_cls, column, benign):
-    box = {}
-
-    def instrument(firewall):
-        box["verdicts"] = audit_off(firewall.kernel)
-
-    scenario = scenario_cls()
-    config = EngineConfig.preset(column)
-    if benign:
-        outcome = scenario.run_benign(with_firewall=True, config=config, instrument=instrument)
-    else:
-        result = scenario.run(with_firewall=True, config=config, instrument=instrument)
-        outcome = (result.succeeded, result.blocked, result.denied, result.detail)
-    out = observables(scenario.kernel, scenario.firewall, box["verdicts"])
-    out["outcome"] = outcome
-    return out
 
 
 @pytest.mark.parametrize("column", ["COMPILED", "EPTSPC", "LAZYCON"])
 def test_exploits(column):
-    allowed = 0
-    for eid in sorted(EXPLOITS):
-        for benign in (False, True):
-            allowed += _differential(
-                lambda: _exploit_observables(EXPLOITS[eid], column, benign))
-    assert (allowed > 0) == (column != "LAZYCON")
+    assert (_grants(column, EXPLOIT_COLUMNS) > 0) == (column != "LAZYCON")
 
 
 def test_raceguard_kernel_is_never_granted():
@@ -199,12 +93,12 @@ def test_raceguard_kernel_is_never_granted():
         outcomes = []
         for check in (symlink_attack_succeeds, benign_sharing_works, benign_rotation_works):
             outcomes.append(check(kernel))
-        out = observables(kernel, firewall, verdicts)
+        out = pinned_observables(kernel, firewall, verdicts)
         out["outcomes"] = outcomes
         out["raceguard"] = [module.denials for module in kernel.lsm.modules[1:]]
         return out
 
-    assert _differential(workload) == 0
+    assert grant_differential(workload) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +144,9 @@ def test_chmod_under_a_cached_walk():
         assert verdicts[-1][:2] == ("stat", "EACCES")
         assert "dac" in verdicts[-1][2]
         kernel.sys.stat(tree.make, HEADER)
-        return observables(kernel, tree.firewall, verdicts)
+        return pinned_observables(kernel, tree.firewall, verdicts)
 
-    assert _differential(workload) > 0
+    assert grant_differential(workload) > 0
 
 
 def test_relabel_denied_by_mac():
@@ -265,9 +159,9 @@ def test_relabel_denied_by_mac():
         assert verdicts[-1][:2] == ("stat", "EACCES")
         assert "selinux" in verdicts[-1][2]
         assert kernel.selinux.denials[-1][1:4] == ("shadow_t", "dir", "search")
-        return observables(kernel, tree.firewall, verdicts)
+        return pinned_observables(kernel, tree.firewall, verdicts)
 
-    assert _differential(workload) > 0
+    assert grant_differential(workload) > 0
 
 
 def test_dir_search_drop_rule_installed_mid_run():
@@ -278,9 +172,9 @@ def test_dir_search_drop_rule_installed_mid_run():
         for proc in (user, tree.make):
             _attempt(kernel.sys.stat, proc, HEADER)
             assert verdicts[-1][:2] == ("stat", "PFDenied")
-        return observables(kernel, tree.firewall, verdicts)
+        return pinned_observables(kernel, tree.firewall, verdicts)
 
-    assert _differential(workload) > 0
+    assert grant_differential(workload) > 0
 
 
 def test_corrupted_stack():
@@ -296,9 +190,9 @@ def test_corrupted_stack():
             kernel.sys.stat(user, HEADER)
         user.stack.corrupt_below = None
         kernel.sys.stat(user, HEADER)
-        return observables(kernel, tree.firewall, verdicts)
+        return pinned_observables(kernel, tree.firewall, verdicts)
 
-    assert _differential(workload) > 0
+    assert grant_differential(workload) > 0
 
 
 def test_symlink_mid_path_drops_the_answer():
@@ -319,9 +213,9 @@ def test_symlink_mid_path_drops_the_answer():
         for _ in range(3):
             kernel.sys.stat(cc, HEADER)
             kernel.sys.stat(cc, "/usr/inc/hdr1.h")
-        return observables(kernel, tree.firewall, verdicts)
+        return pinned_observables(kernel, tree.firewall, verdicts)
 
-    assert _differential(workload) > 0
+    assert grant_differential(workload) > 0
 
 
 @pytest.mark.parametrize("switch", ["tracing", "metrics"])
@@ -337,7 +231,7 @@ def test_observability_switched_on_mid_run(switch):
                     firewall.enable_tracing(capacity=100000)
                 else:
                     firewall.metrics.enable()
-        out = observables(tree.kernel, firewall, verdicts)
+        out = pinned_observables(tree.kernel, firewall, verdicts)
         if switch == "tracing":
             out["traces"] = [trace.as_dict() for trace in firewall.tracer]
         else:
@@ -348,7 +242,7 @@ def test_observability_switched_on_mid_run(switch):
             )
         return out
 
-    assert _differential(workload) > 0
+    assert grant_differential(workload) > 0
 
 
 def test_lmbench_round_after_warmup_is_granted_throughout():
@@ -357,8 +251,10 @@ def test_lmbench_round_after_warmup_is_granted_throughout():
     the LSM counts them beside the round's five operations."""
     suite = run_lmbench(setup=lambda firewall: audit_off(firewall.kernel))
     before = suite.kernel.lsm.invocations
-    _, allowed = _run(lambda: lmbench_round(suite), grants=True)
-    assert allowed == 4
+    granted = []
+    with walk_grants(True, granted):
+        lmbench_round(suite)
+    assert len(granted) == 4
     assert suite.kernel.lsm.invocations - before == 9
 
 
@@ -374,5 +270,7 @@ def test_record_mediations_captures_every_dir_search():
     assert "answer_walk" not in vars(firewall)
     searches = [op.path for op in operations if op.op.value == "DIR_SEARCH"]
     assert searches == ["/", "/etc", "/", "/etc"]
-    _, allowed = _run(lambda: lmbench_round(suite), grants=True)
-    assert allowed == 4
+    granted = []
+    with walk_grants(True, granted):
+        lmbench_round(suite)
+    assert len(granted) == 4

@@ -51,9 +51,9 @@ def lmbench_round(suite):
 class BuildTree:
     """A build tree under the full rule base and a seeded job list."""
 
-    def __init__(self, seed=1):
+    def __init__(self, seed=1, engine="COMPILED"):
         rng = random.Random(seed)
-        session = Session(engine="COMPILED", rules=install_full_rulebase, kernel_audit=False)
+        session = Session(engine=engine, rules=install_full_rulebase, kernel_audit=False)
         kernel = self.kernel = session.kernel
         self.firewall = session.firewall
         kernel.mkdirs(OBJ_DIR, label="usr_t")
@@ -110,9 +110,9 @@ def run_lmbench(column="COMPILED", sessions=WARMUP + COUNTED, before_counted=Non
     return suite
 
 
-def run_build(sessions=WARMUP + COUNTED, before_counted=None, setup=None):
+def run_build(sessions=WARMUP + COUNTED, before_counted=None, setup=None, engine="COMPILED"):
     """Run compile jobs on a fresh build tree; returns the tree."""
-    tree = BuildTree()
+    tree = BuildTree(engine=engine)
     if setup is not None:
         setup(tree.firewall)
     for index in range(sessions):

@@ -1,4 +1,7 @@
-"""Fixed-seed differential: service mode must equal serial mediation."""
+"""Service mode equals serial mediation: the ``inline-2``, ``inline-3``
+and ``spawn-2`` rows of the differential matrix
+(``tests/differential.py``); and the generated stream, the serial
+run's shape and open-loop admission."""
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.workloads.generators import (
     poisson_offsets,
     service_rules_text,
 )
+from tests.differential import SERVICE, SERVICE_SPECS, check, observe
 
 SEED = 0xD1FF
 N_SESSIONS = 24
@@ -25,20 +29,6 @@ def specs():
     return generate_stream(N_SESSIONS, seed=SEED)
 
 
-@pytest.fixture(scope="module")
-def serial(specs, rules_text):
-    """The serial reference: one inline worker, closed loop."""
-    return run_service(specs, rules_text, workers=1, processes=False)
-
-
-def _comparable_audit(result):
-    """Audit rows minus the worker tag (placement is allowed to vary)."""
-    return [
-        {k: v for k, v in row.items() if k != "worker"}
-        for row in result["audit"]
-    ]
-
-
 def test_generated_stream_is_deterministic():
     first = generate_stream(N_SESSIONS, seed=SEED)
     second = generate_stream(N_SESSIONS, seed=SEED)
@@ -49,35 +39,26 @@ def test_generated_stream_is_deterministic():
     assert offsets == sorted(offsets) and len(offsets) == 16
 
 
-def test_serial_reference_shape(serial):
-    assert serial["counters"]["completed"] == N_SESSIONS
+def test_serial_reference_shape():
+    serial = observe(SERVICE, "COMPILED")["run"]
+    assert serial["counters"]["completed"] == len(SERVICE_SPECS)
     assert serial["throughput"]["mediations"] > 0
     assert serial["drops"] > 0  # the trap steps fire under the rules
     sids = {sid for sid, _idx, _op, _status in serial["verdicts"]}
-    assert len(sids) == N_SESSIONS
+    assert len(sids) == len(SERVICE_SPECS)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_inline_multiworker_matches_serial(specs, rules_text, serial, workers):
-    result = run_service(specs, rules_text, workers=workers, processes=False)
-    assert result["verdicts"] == serial["verdicts"]
-    assert _comparable_audit(result) == _comparable_audit(serial)
-    assert result["drops"] == serial["drops"]
-    assert result["stats"]["invocations"] == serial["stats"]["invocations"]
-    assert result["stats"]["drops"] == serial["stats"]["drops"]
+def test_inline_multiworker_matches_serial(workers):
+    check("inline-{}".format(workers), SERVICE)
 
 
-def test_spawn_workers_match_serial(specs, rules_text, serial):
+def test_spawn_workers_match_serial():
     """Real OS worker processes produce the identical merged stream."""
-    result = run_service(specs, rules_text, workers=2, processes=True)
-    assert result["verdicts"] == serial["verdicts"]
-    assert _comparable_audit(result) == _comparable_audit(serial)
-    assert result["drops"] == serial["drops"]
-    assert result["stats"]["invocations"] == serial["stats"]["invocations"]
-    assert result["throughput"]["mediations_per_cpu_s"] > 0
-    # Work actually landed on both workers.
-    placements = {row["sessions"] for row in result["workers"]}
-    assert all(row["sessions"] > 0 for row in result["workers"]), placements
+    check("spawn-2", SERVICE)
+    run = observe(SERVICE, "COMPILED", workers=2, spawn=True)["run"]
+    assert run["throughput"]["mediations_per_cpu_s"] > 0
+    assert all(row["sessions"] > 0 for row in run["workers"])
 
 
 def test_open_loop_backpressure_rejects_gracefully(specs, rules_text):
