@@ -12,9 +12,6 @@ import sys
 import pytest
 
 from repro.analysis.tables import format_table, overhead_pct
-from repro.api import Session
-from repro.rulesets.generated import install_full_rulebase
-from repro.workloads import macro
 from repro.workloads.macro import MacrobenchSuite, TABLE7_CONFIGS, run_table7
 
 TOOLS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
@@ -82,37 +79,13 @@ def _build_work(config, files=8):
     return {"bytecodes": bytecodes / files, "context_cost": (after - before) / files}
 
 
-def base_adds_little(work):
-    """PF Base collects no context and adds under 10% to the build."""
-    base, without = work["PF Base"], work["Without PF"]
-    return base["context_cost"] == 0 and base["bytecodes"] < without["bytecodes"] * 1.1
-
-
-def full_adds_more(work):
-    """PF Full collects context and adds over four times what PF Base
-    adds to the build."""
-    without, base, full = (work[config] for config in TABLE7_CONFIGS)
-    added = full["bytecodes"] - without["bytecodes"]
-    return full["context_cost"] > 0 and added > 4 * (base["bytecodes"] - without["bytecodes"])
-
-
-@pytest.fixture(scope="module")
-def build_work():
-    return {config: _build_work(config) for config in TABLE7_CONFIGS}
-
-
-def test_table7_build_counted(build_work):
+def test_table7_build_counted():
     """Counted companion of :func:`test_table7_grid`'s build bounds: the
     same two orderings on work the engine and the interpreter count."""
-    assert base_adds_little(build_work)
-    assert full_adds_more(build_work)
-
-
-def test_table7_build_counted_fails_on_broken_rungs(build_work, monkeypatch):
-    """PF Base given the full rule base adds as much as PF Full, and PF
-    Full given no rules adds as little as PF Base."""
-    for config, rules, holds in (("PF Base", install_full_rulebase, base_adds_little),
-                                 ("PF Full", None, full_adds_more)):
-        monkeypatch.setattr(macro, "_configure", lambda _config, rules=rules: Session(
-            engine="EPTSPC", rules=rules, kernel_audit=False).kernel)
-        assert not holds(dict(build_work, **{config: _build_work(config)})), config
+    without, base, full = (_build_work(config) for config in TABLE7_CONFIGS)
+    # PF Base collects no context and adds under 10% to the build.
+    assert base["context_cost"] == 0
+    assert base["bytecodes"] < without["bytecodes"] * 1.1
+    # PF Full collects context and adds over four times what PF Base adds.
+    assert full["context_cost"] > 0
+    assert full["bytecodes"] - without["bytecodes"] > 4 * (base["bytecodes"] - without["bytecodes"])

@@ -5,9 +5,10 @@ against one reference, over one corpus.
 (result, firewall, kernel)`` items, most from ``tools/observables.py``
 (E1–E9 attack and benign, the same after a fork storm, the lmbench mix
 with the stack intact and corrupted, the compile jobs, the ``STATE``
-fork replay), plus a recorded macro replay, two rule bases for each of
-12 seeds, two cross-table cases, a walk that meets a closed directory
-mid-path and 10 seeded mutation streams.
+fork replay), plus a recorded macro replay, the 24-session lmbench and
+build runs of ``tests/plumbing_workloads.py`` (``long/*``), two rule
+bases for each of 12 seeds, two cross-table cases, a walk that meets a
+closed directory mid-path and 10 seeded mutation streams.
 :data:`SERVICE` is the seeded service stream of ``run_service``.
 
 **Rows** (:data:`ROWS`) are one rung plus at most one toggle.  Every
@@ -16,9 +17,9 @@ untraced, serial): the result, each syscall's verdict with its errno
 message, ``(invocations, accepts, drops)`` and the log and drop
 records without ``time``.  Equality is transitive, so any two rungs
 agree.  A toggle row is also compared *pinned* to its base, its rung
-with the toggle off, on :func:`pinned_observables`, and a plain rung
-row's bare runs equal those of ``tests/golden/observables.json`` where
-it holds the column, so the reference is anchored.  Every run asserts
+with the toggle off, on :func:`pinned_observables`.
+``tests/test_observables.py`` holds the plain rungs' runs of the
+golden corpus to ``tests/golden/observables.json``.  Every run asserts
 that the firewall built the row's configuration (:data:`CONFIGS`), and
 each row's guard that its mechanism ran.  Adding or deleting a rung or
 a cache is adding or deleting one row.
@@ -46,6 +47,7 @@ from repro.vfs.file import OpenFlags
 from repro.workloads.generators import generate_stream
 from repro.world import build_world, spawn_root_shell
 from tests.mediation_replay import replay_mediations, reset_mediation_state
+from tests.plumbing_workloads import run_build, run_lmbench
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "tools"))
@@ -98,19 +100,22 @@ ROWS = {
                   (0, "decision_cache_hits", 1)),
     "dcache-off": _toggle("COMPILED", {"dcache": False}, CHEAP + ("macro", SERVICE),
                           (1, "walk_hits", 1)),
-    "traced": _toggle("COMPILED", {"trace": True}, CHEAP + ("lmbench", "build"),
+    # ``long/build`` runs the build item's 16 jobs and 8 more; the
+    # observed row keeps the build item, whose cell the golden corpus
+    # reads.
+    "traced": _toggle("COMPILED", {"trace": True}, CHEAP + ("lmbench", "long"),
                       (0, "traces", 1)),
-    "metered": _toggle("COMPILED", {"meter": True}, CHEAP + ("lmbench", "build", SERVICE),
+    "metered": _toggle("COMPILED", {"meter": True}, CHEAP + ("lmbench", "long", SERVICE),
                        (0, "verdicts_metered", 1)),
     "observed": _toggle("COMPILED", {"trace": True, "meter": True},
-                        CHEAP + ("lmbench", "build", "macro"), (0, "traces", 1)),
+                        CHEAP + ("lmbench", "build", "long", "macro"), (0, "traces", 1)),
     "EPTSPC-observed": _toggle("EPTSPC", {"trace": True, "meter": True}, CHEAP + ("lmbench",),
                                (0, "traces", 1)),
     "batch": _toggle("COMPILED", {"replay": "batched"}, ("exploit", "fork", "mutation"),
                      (0, "amortized", 1), {"replay": "per-call"}),
     # Walk grants need the kernel audit trail off, on both sides.
     "grant-refused": _toggle("COMPILED", {"audit": False, "grants": False},
-                             CHEAP + ("lmbench", "build", SERVICE), (1, "granted", 1),
+                             CHEAP + ("lmbench", "long", SERVICE), (1, "granted", 1),
                              {"audit": False}),
     "EPTSPC-grant-refused": _toggle("EPTSPC", {"audit": False, "grants": False},
                                     CHEAP + ("lmbench", SERVICE), (1, "granted", 1),
@@ -123,11 +128,13 @@ ROWS = {
                               (1, "replayed_steps", 1)),
 }
 
-#: The reference of the loose comparisons.  The mutation streams have
-#: none: under FULL their ten 150-step streams cost 2.5 s, and their
-#: claim (batched == per call) is pinned.
+#: The reference of the loose comparisons.  The mutation streams and
+#: the ``long/*`` runs have none: under FULL the ten 150-step streams
+#: cost 2.5 s and the 24 compile jobs 1.2 s, their claims (batched ==
+#: per call; observers and grants change nothing) are pinned, and the
+#: golden lmbench and build items hold the same operations to FULL.
 REFERENCE = ("FULL", {"dcache": False})
-NO_REFERENCE = ("mutation",)
+NO_REFERENCE = ("mutation", "long")
 
 SERVICE_SPECS = generate_stream(observables.SERVICE_SESSIONS, seed=observables.SERVICE_SEED)
 
@@ -183,7 +190,8 @@ def pinned_observables(kernel, firewall, verdicts):
         "lsm": kernel.lsm.invocations,
         "selinux": list(kernel.selinux.denials),
         "audit": audit_entries(firewall) if firewall is not None else None,
-        "kernel_audit": [(r.time, r.pid, r.op, r.path, r.decision, r.detail) for r in kernel.audit],
+        "kernel_audit": [(r.time, r.pid, r.comm, r.op, r.path, r.decision, r.detail)
+                         for r in kernel.audit],
     }
 
 
@@ -264,27 +272,15 @@ def golden_document():
         return json.load(handle)
 
 
-def golden_bare(column, rung):
-    """The golden document's bare run of ``column`` under ``rung``, or
-    ``None`` where the document has none."""
-    doc, kind = golden_document(), group(column)
-    head, _, tail = column.partition("/")
-    if kind == "exploit" and rung in observables.RUNGS:
-        entry = doc["exploits"][head][rung][tail]
-    elif kind == "lmbench" and rung in observables.COLUMNS:
-        entry = doc["lmbench"]["{}/{}".format(rung, tail)]
-    elif kind in ("fork", "build", "fork-replay") and rung == "COMPILED":
-        entry = (doc["fork"][head[len("fork-"):]][tail] if kind == "fork"
-                 else doc[kind.replace("-", "_")])
-    else:
-        return None
-    return {key: value for key, value in entry.items() if key != "observed"}
-
-
 def golden_twice(name, config):
     """``twice`` of :func:`observables.collect`, from the matrix's runs."""
     return dict(observe(name, config)["golden"],
                 observed=observe(name, config, trace=True, meter=True)["observed"])
+
+
+def golden_service(engine, metered):
+    """``run`` of :func:`observables.service_runs`, from the matrix's runs."""
+    return observe(SERVICE, engine, meter=metered)["run"]
 
 
 def _slots(config):
@@ -397,20 +393,13 @@ def columns_of(row):
 
 def check(row, *columns):
     """Assert ``row``'s cells on ``columns``: loosely equal to the
-    reference, for a toggle row pinned to its base, and for a plain
-    rung row equal to the golden document's bare run where it has one;
-    a failure names each ``"column loose|pinned|golden: key"`` that
-    differs."""
+    reference and, for a toggle row, pinned to its base; a failure
+    names each ``"column loose|pinned: key"`` that differs."""
     spec = ROWS[row]
     found = []
     for column in columns:
         assert group(column) in spec.groups, (row, column)
         cell = observe(column, spec.rung, **spec.knobs)
-        golden = golden_bare(column, spec.rung) if not spec.knobs else None
-        if golden is not None:
-            bare = json.loads(observables.dumps(cell["golden"]))
-            found += ["{} golden: {}".format(column, key)
-                      for key in sorted(golden) if bare.get(key) != golden[key]]
         sides = [] if group(column) in NO_REFERENCE else [("loose", REFERENCE)]
         sides += [("pinned", spec.base)] if spec.base else []
         for how, (rung, knobs) in sides:
@@ -636,6 +625,19 @@ def walk_item(config, instrument):
     return None, firewall, kernel
 
 
+def long_lmbench(config, instrument):
+    """24 rounds of the lmbench mix, where the golden item runs 12."""
+    suite = run_lmbench(config, setup=instrument)
+    return None, suite.firewall, suite.kernel
+
+
+def long_build(config, instrument):
+    """24 seeded compile jobs, 6 of them traps: the golden item's 16 and
+    8 more, 2 of those traps."""
+    tree = run_build(setup=instrument, engine=config)
+    return tree.drops, tree.firewall, tree.kernel
+
+
 def mutation_item(seed):
     """150 seeded reads with create, chmod, rename and unlink mixed in
     at random, by a root shell under the full rule base with the kernel
@@ -656,13 +658,17 @@ def mutation_item(seed):
             sys_.close(proc, fd)
             created.append(path)
 
+        def rename():
+            sys_.rename(proc, created[-1], created[-1] + ".r")
+            created[-1] += ".r"
+
         actions = [
             lambda: sys_.stat(proc, "/etc/passwd"),
             lambda: sys_.access(proc, "/etc/passwd"),
             lambda: sys_.getpid(proc),
             create,
             lambda: created and sys_.chmod(proc, rng.choice(created), 0o640),
-            lambda: created and sys_.rename(proc, created[-1], created[-1] + ".r"),
+            lambda: created and rename(),
             lambda: created and sys_.unlink(proc, created.pop()),
         ]
         for _ in range(150):
@@ -674,6 +680,7 @@ def mutation_item(seed):
 
 
 COLUMNS = dict(observables.items(), macro=observables.replay_item(macro_workload), walk=walk_item)
+COLUMNS.update({"long/lmbench": long_lmbench, "long/build": long_build})
 for _seed in range(12):
     COLUMNS["rules/{}".format(_seed)] = rules_item(_seed, 0)
     COLUMNS["rules/{}/plain".format(_seed)] = rules_item(_seed, 1)

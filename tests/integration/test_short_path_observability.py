@@ -6,7 +6,8 @@ entrypoint-keyed decision-cache hit reads the head without a context
 frame.  Still every ``SYSCALL_BEGIN`` yields one ``fast_path`` trace,
 the fast-path metrics keep their values, verdicts and counters match
 with tracing and metrics on and off (the ``traced``, ``metered`` and
-``observed`` rows of ``tests/differential.py``), a corrupted stack
+``observed`` rows of ``tests/differential.py`` on the 24-session
+``long/lmbench`` and ``long/build`` columns), a corrupted stack
 yields the head ``()``, and ``record_mediations`` captures every
 ``SYSCALL_BEGIN``."""
 
@@ -59,8 +60,8 @@ def test_metrics_counters_pinned(workload):
 
 @pytest.mark.parametrize("row", ["traced", "metered", "observed"], ids=["traced", "metered", "both"])
 def test_observability_changes_no_verdict_or_counter(row):
-    check(row, "lmbench/intact", "build")
-    assert observe("build", "COMPILED")["loose"]["result"] > 0
+    check(row, "long/lmbench", "long/build")
+    assert observe("long/build", "COMPILED")["loose"]["result"] > 0
 
 
 def test_efault_stack_on_entrypoint_keyed_probe_misses_with_empty_head():

@@ -9,11 +9,11 @@ the differential matrix's cells, so each distinct run happens once.
 
 import json
 
-from tests.differential import golden_document, golden_twice, observables
+from tests.differential import golden_document, golden_service, golden_twice, observables
 
 
 def test_corpus_matches_golden_file():
-    current = json.loads(observables.dumps(observables.collect(golden_twice)))
+    current = json.loads(observables.dumps(observables.collect(golden_twice, golden_service)))
     moved = observables.diff(golden_document(), current)
     assert not moved, "{} moved observables, first: {}".format(len(moved), moved[:20])
 

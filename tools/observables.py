@@ -189,17 +189,23 @@ def build_item(config, instrument):
     return tree.drops, tree.firewall, tree.kernel
 
 
-def service_runs():
-    """Seeded service sessions through one inline worker, per engine."""
+def service_runs(run=None):
+    """Seeded service sessions through one inline worker, per engine;
+    ``run(engine, metered)`` gives ``run_service``'s result, by default
+    by calling it."""
     from repro.obs.metrics import parse_prometheus
     from repro.service import run_service
     from repro.workloads.generators import generate_stream
 
-    specs = generate_stream(SERVICE_SESSIONS, seed=SERVICE_SEED)
+    if run is None:
+        specs = generate_stream(SERVICE_SESSIONS, seed=SERVICE_SEED)
+
+        def run(engine, metered):
+            return run_service(specs, engine=engine, workers=1, processes=False, metered=metered)
+
     out = {}
     for engine in SERVICE_ENGINES:
-        bare = run_service(specs, engine=engine, workers=1, processes=False)
-        metered = run_service(specs, engine=engine, workers=1, processes=False, metered=True)
+        bare, metered = run(engine, False), run(engine, True)
         out[engine] = {
             "verdicts": [" ".join(map(str, row)) for row in bare["verdicts"]],
             "stats": bare["stats"],
@@ -322,10 +328,10 @@ def items():
     return out
 
 
-def collect(twice=None):
+def collect(twice=None, service=None):
     """The whole corpus as one JSON-ready dict.  ``twice(name, config)``
     gives item ``name`` under ``config`` bare and observed, by default
-    by running it twice."""
+    by running it twice; ``service`` is :func:`service_runs`'s ``run``."""
     from repro.attacks.exploits import EXPLOITS
 
     if twice is None:
@@ -346,7 +352,7 @@ def collect(twice=None):
             for column in COLUMNS for stack in STACKS
         },
         "build": twice("build", "COMPILED"),
-        "service": service_runs(),
+        "service": service_runs(service),
         "fork": {eid: {arm: twice("fork-{}/{}".format(eid, arm), "COMPILED") for arm in ARMS}
                  for eid in eids},
         "fork_replay": twice("fork-replay", "COMPILED"),
